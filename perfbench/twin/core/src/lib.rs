@@ -1,0 +1,66 @@
+//! Multicast schemes for irregular switch-based networks — the core
+//! library of the ICPP '98 reproduction.
+//!
+//! Four schemes (plus a greedy path-planning ablation) are implemented on
+//! top of the `irrnet-sim` substrate:
+//!
+//! | scheme | support needed | worms | phases |
+//! |---|---|---|---|
+//! | [`Scheme::UBinomial`] | none (software only) | d | ⌈log₂(d+1)⌉ |
+//! | [`Scheme::NiFpfs`] | smart NI firmware | d | k-binomial depth |
+//! | [`Scheme::TreeWorm`] | switch replication + reachability strings | 1 | 1 |
+//! | [`Scheme::PathLessGreedy`] | switch replication (multi-drop) | w | ⌈log₂(w+1)⌉ |
+//!
+//! Use [`plan_multicast`] to build a [`McastPlan`] for a (source,
+//! destination set, message length) triple and register it with a
+//! [`SchemeProtocol`] driving an [`irrnet_sim::Simulator`].
+//!
+//! # Example
+//!
+//! ```
+//! use irrnet_core::{plan_multicast, Scheme, SchemeProtocol};
+//! use irrnet_sim::{McastId, SimConfig, Simulator};
+//! use irrnet_topology::{zoo, Network, NodeId, NodeMask};
+//! use std::sync::Arc;
+//!
+//! let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
+//! let cfg = SimConfig::paper_default();
+//! let dests = NodeMask::from_nodes((1..=8).map(NodeId));
+//! let plan = plan_multicast(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests.clone(), 128);
+//!
+//! let mut proto = SchemeProtocol::new();
+//! proto.add(McastId(0), Arc::new(plan));
+//! let mut sim = Simulator::new(&net, cfg, proto).unwrap();
+//! sim.schedule_multicast(0, McastId(0), dests, 128);
+//! let done = sim.run_to_completion(10_000_000).unwrap();
+//! assert!(done > 0);
+//! ```
+
+pub mod contention;
+pub mod driver;
+pub mod header;
+pub mod kbinomial;
+pub mod mdp;
+pub mod model;
+pub mod order;
+pub mod plan;
+pub mod schemes;
+
+pub use driver::SchemeProtocol;
+/// Deterministic PRNG + hash primitives (splitmix64, xoshiro256**,
+/// FNV-1a), re-exported from the topology substrate so workload and
+/// harness code can reach them without a direct `irrnet-topology` import.
+pub use irrnet_topology::rng;
+pub use contention::{tree_link_loads, LinkLoadStats};
+pub use kbinomial::{build_k_binomial, build_k_binomial_scattered, choose_k, estimate_fpfs_completion, McastTree};
+pub use mdp::{plan_paths, verify_path_spec, PathPlan, PathVariant};
+pub use model::LatencyModel;
+pub use plan::{plan_multicast, try_plan_multicast, McastPlan, PlanMeta, Scheme};
+pub use schemes::{MulticastScheme, PlanCtx, PlanError, SchemeCaps, SchemeId, SchemeRegistry};
+
+/// Common imports for downstream crates.
+pub mod prelude {
+    pub use crate::driver::SchemeProtocol;
+    pub use crate::plan::{plan_multicast, try_plan_multicast, McastPlan, PlanMeta, Scheme};
+    pub use crate::schemes::{MulticastScheme, SchemeCaps, SchemeId, SchemeRegistry};
+}
