@@ -14,7 +14,7 @@
 
 use crate::error::CollectiveError;
 use irrnet_core::kbinomial::{build_k_binomial, McastTree};
-use irrnet_core::order::{node_ranks, sort_by_rank};
+use irrnet_core::order::sort_by_rank;
 use irrnet_core::{try_plan_multicast, McastPlan, SchemeId};
 use irrnet_sim::{McastId, SimConfig};
 use irrnet_topology::{Network, NodeId, NodeMask};
@@ -119,10 +119,9 @@ impl CollectivePlan {
 
         if matches!(op, CollectiveOp::Reduce | CollectiveOp::Barrier | CollectiveOp::AllReduce) {
             // Combining tree: the broadcast trees of `kbinomial`, reversed.
-            let ranks = node_ranks(net);
             let mut others: Vec<NodeId> =
                 members.iter().filter(|&n| n != root).collect();
-            sort_by_rank(&mut others, &ranks);
+            sort_by_rank(&mut others, net.node_ranks());
             let tree: McastTree = build_k_binomial(root, &others, fanout.max(1));
             for &parent in &tree.bfs_order {
                 let kids = tree.children_of(parent);

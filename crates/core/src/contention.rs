@@ -66,7 +66,7 @@ pub fn tree_link_loads(net: &Network, tree: &McastTree) -> LinkLoadStats {
 mod tests {
     use super::*;
     use crate::kbinomial::{build_k_binomial, build_k_binomial_scattered};
-    use crate::order::{node_ranks, sort_by_rank};
+    use crate::order::sort_by_rank;
     use irrnet_topology::{gen, NodeId, RandomTopologyConfig};
 
     #[test]
@@ -81,9 +81,8 @@ mod tests {
                 gen::generate(&RandomTopologyConfig::paper_default(seed)).unwrap(),
             )
             .unwrap();
-            let ranks = node_ranks(&net);
             let mut dests: Vec<NodeId> = (1..=16).map(NodeId).collect();
-            sort_by_rank(&mut dests, &ranks);
+            sort_by_rank(&mut dests, net.node_ranks());
             for k in [1usize, 2, 4] {
                 let a = build_k_binomial(NodeId(0), &dests, k);
                 let b = build_k_binomial_scattered(NodeId(0), &dests, k);

@@ -10,8 +10,12 @@
 //! depends on the destination count and the number of packets.
 //!
 //! [`choose_k`] picks `k` by evaluating an analytic FPFS pipeline model
-//! ([`estimate_fpfs_completion`]) over candidate values, which is the role
-//! the closed-form optimization plays in the original paper.
+//! over candidate values, which is the role the closed-form optimization
+//! plays in the original paper. The model reads only the tree's *shape*
+//! (who sends to how many children, in which order), never node
+//! identities, so `choose_k` evaluates it on the shape over dense virtual
+//! ids without labelling a tree; [`estimate_fpfs_completion`] is the same
+//! model for an already built [`McastTree`].
 
 use irrnet_sim::SimConfig;
 use irrnet_topology::NodeId;
@@ -103,41 +107,20 @@ impl McastTree {
 pub fn build_k_binomial(source: NodeId, dests: &[NodeId], k: usize) -> McastTree {
     assert!(k >= 1, "k must be at least 1");
     let n = dests.len() + 1;
+    let shape = Shape::k_binomial(n, k);
 
-    // 1. Shape over virtual ids 0..n (adoption order); parent id < child id.
-    let mut vchildren: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut informed: Vec<usize> = Vec::with_capacity(n);
-    informed.push(0);
-    let mut next = 1usize;
-    let mut rounds = 0usize;
-    while next < n {
-        rounds += 1;
-        let len = informed.len();
-        for i in 0..len {
-            if next >= n {
-                break;
-            }
-            let p = informed[i];
-            if vchildren[p].len() < k {
-                vchildren[p].push(next);
-                informed.push(next);
-                next += 1;
-            }
-        }
-    }
-
-    // 2. Subtree sizes (children always have larger virtual ids).
+    // Subtree sizes (children always have larger virtual ids).
     let mut size = vec![1usize; n];
     for v in (0..n).rev() {
-        for &c in &vchildren[v] {
-            size[v] += size[c];
+        for &c in shape.kids(v) {
+            size[v] += size[c as usize];
         }
     }
 
-    // 3. Contiguous placement: all[0] = source, all[1..] = dests; the
-    //    subtree of a virtual node occupies one slice, its root at the
-    //    slice's front, its children's slices carved from the back
-    //    (first-sent child = farthest slice).
+    // Contiguous placement: all[0] = source, all[1..] = dests; the
+    // subtree of a virtual node occupies one slice, its root at the
+    // slice's front, its children's slices carved from the back
+    // (first-sent child = farthest slice).
     let mut all: Vec<NodeId> = Vec::with_capacity(n);
     all.push(source);
     all.extend_from_slice(dests);
@@ -149,8 +132,9 @@ pub fn build_k_binomial(source: NodeId, dests: &[NodeId], k: usize) -> McastTree
         let me = all[lo];
         vlabel[v] = me;
         let mut end = hi;
-        let mut kids_labeled = Vec::with_capacity(vchildren[v].len());
-        for &c in &vchildren[v] {
+        let mut kids_labeled = Vec::with_capacity(shape.kids(v).len());
+        for &c in shape.kids(v) {
+            let c = c as usize;
             let start = end - size[c];
             kids_labeled.push(all[start]);
             stack.push((c, start, end));
@@ -162,10 +146,8 @@ pub fn build_k_binomial(source: NodeId, dests: &[NodeId], k: usize) -> McastTree
         }
     }
 
-    // 4. Informed order mapped to real labels.
-    let bfs_order: Vec<NodeId> = informed.into_iter().map(|v| vlabel[v]).collect();
-
-    McastTree { source, children, bfs_order, k, rounds }
+    // Virtual ids are the informed order.
+    McastTree { source, children, bfs_order: vlabel, k, rounds: shape.rounds }
 }
 
 /// Ablation variant of [`build_k_binomial`]: identical tree *shape*, but
@@ -176,29 +158,174 @@ pub fn build_k_binomial(source: NodeId, dests: &[NodeId], k: usize) -> McastTree
 /// `abl_ordering` harness.
 pub fn build_k_binomial_scattered(source: NodeId, dests: &[NodeId], k: usize) -> McastTree {
     assert!(k >= 1, "k must be at least 1");
+    let shape = Shape::k_binomial(dests.len() + 1, k);
+    let mut bfs_order: Vec<NodeId> = Vec::with_capacity(dests.len() + 1);
+    bfs_order.push(source);
+    bfs_order.extend_from_slice(dests);
     let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut informed: Vec<NodeId> = Vec::with_capacity(dests.len() + 1);
-    informed.push(source);
-    let mut next = 0usize;
-    let mut rounds = 0usize;
-    while next < dests.len() {
-        rounds += 1;
-        let round_len = informed.len();
-        for i in 0..round_len {
-            if next >= dests.len() {
-                break;
-            }
-            let parent = informed[i];
-            let kids = children.entry(parent).or_default();
-            if kids.len() < k {
-                let child = dests[next];
-                next += 1;
-                kids.push(child);
-                informed.push(child);
-            }
+    for (v, &me) in bfs_order.iter().enumerate() {
+        let kids = shape.kids(v);
+        if !kids.is_empty() {
+            children.insert(me, kids.iter().map(|&c| bfs_order[c as usize]).collect());
         }
     }
-    McastTree { source, children, bfs_order: informed, k, rounds }
+    McastTree { source, children, bfs_order, k, rounds: shape.rounds }
+}
+
+/// A tree shape over virtual ids `0..n` in informed order: 0 is the
+/// root and every parent precedes its children.
+/// `kids[start[v]..start[v + 1]]` are `v`'s children in send order.
+#[derive(Debug, Default)]
+struct Shape {
+    start: Vec<u32>,
+    kids: Vec<u32>,
+    /// Adoption rounds the construction took.
+    rounds: usize,
+    /// Largest number of children of any node.
+    max_fanout: usize,
+    /// Working space of [`Shape::rebuild`]: each node's parent and its index
+    /// among that parent's children.
+    links: Vec<(u32, u32)>,
+}
+
+impl Shape {
+    /// The k-binomial shape over `n` nodes.
+    fn k_binomial(n: usize, k: usize) -> Shape {
+        let mut shape = Shape::default();
+        shape.rebuild(n, k);
+        shape
+    }
+
+    /// Rebuild in place, reusing the buffers, as the k-binomial shape over
+    /// `n` nodes: each round, every informed node with fewer than `k`
+    /// children adopts the next uninformed node.
+    fn rebuild(&mut self, n: usize, k: usize) {
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        self.links.clear();
+        self.links.resize(n, (0, 0));
+        // Informed order is adoption order: `0..next` are informed.
+        let fanout = &mut self.start[1..];
+        let (mut next, mut rounds) = (1usize, 0usize);
+        while next < n {
+            rounds += 1;
+            // Only nodes informed before this round adopt in it.
+            let informed = next;
+            for (p, count) in fanout[..informed].iter_mut().enumerate() {
+                if next >= n {
+                    break;
+                }
+                if (*count as usize) < k {
+                    self.links[next] = (p as u32, *count);
+                    *count += 1;
+                    next += 1;
+                }
+            }
+        }
+        self.rounds = rounds;
+        self.max_fanout = fanout.iter().copied().max().unwrap_or(0) as usize;
+        for v in 0..n {
+            self.start[v + 1] += self.start[v];
+        }
+        self.kids.clear();
+        self.kids.resize(n.saturating_sub(1), 0);
+        for (c, &(p, i)) in self.links.iter().enumerate().skip(1) {
+            self.kids[(self.start[p as usize] + i) as usize] = c as u32;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn kids(&self, v: usize) -> &[u32] {
+        &self.kids[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+}
+
+/// The per-packet cost terms of the FPFS estimate for one message.
+struct FpfsCosts {
+    o_send_host: u64,
+    o_recv_host: u64,
+    /// Network latency of one replica: pipeline hops plus the link.
+    net_lat: u64,
+    /// Per packet: host↔NI DMA time.
+    dma: Vec<u64>,
+    /// Per packet: flits on the wire (header + payload).
+    wire: Vec<u64>,
+    /// Per packet: NI cost of injecting one copy.
+    tx: Vec<u64>,
+    /// Per packet: NI cost of receiving it.
+    rx: Vec<u64>,
+}
+
+impl FpfsCosts {
+    fn new(cfg: &SimConfig, message_flits: u32, hops_est: u32) -> Self {
+        let m = cfg.packets_for(message_flits);
+        let payload = |j: u32| cfg.packet_payload(message_flits, j);
+        // O_{s,ni} / O_{r,ni} on a message copy's first packet, light
+        // handling on the rest — mirrors the engine's charging.
+        let first_or_light =
+            |j: u32, first: u64| if j == 0 { first } else { cfg.o_ni_per_packet() };
+        FpfsCosts {
+            o_send_host: cfg.o_send_host,
+            o_recv_host: cfg.o_recv_host,
+            net_lat: (hops_est as u64) * cfg.hop_latency() + cfg.link_delay,
+            dma: (0..m).map(|j| cfg.dma_cycles(payload(j))).collect(),
+            wire: (0..m).map(|j| (cfg.unicast_header_flits + payload(j)) as u64).collect(),
+            tx: (0..m).map(|j| first_or_light(j, cfg.o_send_ni)).collect(),
+            rx: (0..m).map(|j| first_or_light(j, cfg.o_recv_ni)).collect(),
+        }
+    }
+
+    /// The FPFS completion estimate of a tree shape (see
+    /// [`estimate_fpfs_completion`]). `avail` is a reused buffer: per node and
+    /// packet, the cycle the packet is available in the node's NI memory.
+    fn estimate(&self, shape: &Shape, avail: &mut Vec<u64>) -> u64 {
+        let m = self.dma.len();
+        avail.clear();
+        avail.resize(shape.len() * m, 0);
+        // Source: O_{s,h} then pipelined DMA.
+        let mut t = self.o_send_host;
+        for (a, dma) in avail.iter_mut().zip(&self.dma) {
+            t += dma;
+            *a = t;
+        }
+        let mut completion = 0u64;
+        for v in 0..shape.len() {
+            let kids = shape.kids(v);
+            // NI serialization of the replicas, FPFS order: packet by
+            // packet, one copy per child; each child's row first holds
+            // the arrival times.
+            let (mut ni_t, mut link_t) = (0u64, 0u64);
+            for j in 0..m {
+                let avail_j = avail[v * m + j];
+                for &c in kids {
+                    ni_t = ni_t.max(avail_j) + self.tx[j];
+                    link_t = link_t.max(ni_t) + self.wire[j];
+                    avail[c as usize * m + j] = link_t + self.net_lat;
+                }
+            }
+            // Each child's NI receives its packets serially.
+            for &c in kids {
+                let row = &mut avail[c as usize * m..(c as usize + 1) * m];
+                let mut rx_t = 0u64;
+                for (a, rx) in row.iter_mut().zip(&self.rx) {
+                    rx_t = rx_t.max(*a) + rx;
+                    *a = rx_t;
+                }
+            }
+            // Host-side completion of this node (destinations only).
+            if v != 0 {
+                let mut bus_t = 0u64;
+                for (a, dma) in avail[v * m..(v + 1) * m].iter().zip(&self.dma) {
+                    bus_t = bus_t.max(*a) + dma;
+                }
+                completion = completion.max(bus_t + self.o_recv_host);
+            }
+        }
+        completion
+    }
 }
 
 /// Analytic FPFS completion-time estimate for a k-binomial tree.
@@ -218,87 +345,43 @@ pub fn estimate_fpfs_completion(
     message_flits: u32,
     hops_est: u32,
 ) -> u64 {
-    let m = cfg.packets_for(message_flits);
-    let header = cfg.unicast_header_flits;
-    let net_lat = (hops_est as u64) * cfg.hop_latency() + cfg.link_delay;
-
-    // Per node: the cycle each packet is available in NI memory.
-    let mut avail: HashMap<NodeId, Vec<u64>> = HashMap::new();
-
-    // Source: O_{s,h} then pipelined DMA.
-    let mut t = cfg.o_send_host;
-    let mut src_avail = Vec::with_capacity(m as usize);
-    for j in 0..m {
-        t += cfg.dma_cycles(cfg.packet_payload(message_flits, j));
-        src_avail.push(t);
+    // The tree's shape over its informed order.
+    let pos: HashMap<NodeId, u32> =
+        tree.bfs_order.iter().enumerate().map(|(i, &nd)| (nd, i as u32)).collect();
+    let mut shape = Shape { start: vec![0], ..Shape::default() };
+    for &nd in &tree.bfs_order {
+        shape.kids.extend(tree.children_of(nd).iter().map(|c| pos[c]));
+        shape.start.push(shape.kids.len() as u32);
     }
-    avail.insert(tree.source, src_avail);
-
-    let mut completion = 0u64;
-    for &node in &tree.bfs_order {
-        let node_avail = avail[&node].clone();
-        let kids = tree.children_of(node);
-        // NI serialization: Rx (non-source) + Tx replicas in FPFS order.
-        let mut ni_t = 0u64;
-        // Receive-side processing per packet for non-source nodes was
-        // already folded into `node_avail` (see child update below), so
-        // here we only serialize the transmit side.
-        let mut link_t = 0u64;
-        let mut child_arrivals: Vec<Vec<u64>> = vec![Vec::with_capacity(m as usize); kids.len()];
-        for (j, &avail_j) in node_avail.iter().enumerate() {
-            let wire = (header + cfg.packet_payload(message_flits, j as u32)) as u64;
-            // O_{s,ni} per message copy (first packet), light handling on
-            // the rest — mirrors the engine's charging.
-            let tx_cost = if j == 0 { cfg.o_send_ni } else { cfg.o_ni_per_packet() };
-            for (ci, _) in kids.iter().enumerate() {
-                ni_t = ni_t.max(avail_j) + tx_cost;
-                link_t = link_t.max(ni_t) + wire;
-                child_arrivals[ci].push(link_t + net_lat);
-            }
-        }
-        for (ci, &c) in kids.iter().enumerate() {
-            // Child's NI pays O_{r,ni} on the first packet, light
-            // handling on the rest, serially.
-            let mut rx_t = 0u64;
-            let child_avail: Vec<u64> = child_arrivals[ci]
-                .iter()
-                .enumerate()
-                .map(|(j, &a)| {
-                    let rx_cost = if j == 0 { cfg.o_recv_ni } else { cfg.o_ni_per_packet() };
-                    rx_t = rx_t.max(a) + rx_cost;
-                    rx_t
-                })
-                .collect();
-            avail.insert(c, child_avail);
-        }
-        // Host-side completion of this node (destinations only).
-        if node != tree.source {
-            let mut bus_t = 0u64;
-            for j in 0..m {
-                bus_t = bus_t.max(node_avail[j as usize])
-                    + cfg.dma_cycles(cfg.packet_payload(message_flits, j));
-            }
-            completion = completion.max(bus_t + cfg.o_recv_host);
-        }
-    }
-    completion
+    FpfsCosts::new(cfg, message_flits, hops_est).estimate(&shape, &mut Vec::new())
 }
 
-/// Pick the fan-out `k` minimizing the FPFS completion estimate.
-/// Candidates are `1..=min(8, #dests)`; ties prefer smaller `k` (less
-/// hot-spotting at the source switch).
+/// Pick the fan-out `k` minimizing the FPFS completion estimate of the
+/// k-binomial tree over `dests`. Candidates are `1..=min(8, #dests)`;
+/// ties prefer smaller `k` (less hot-spotting at the source switch).
+///
+/// Only `dests.len()` matters: the estimate depends on the tree's shape,
+/// which the destination count and `k` fix.
 pub fn choose_k(dests: &[NodeId], cfg: &SimConfig, message_flits: u32, hops_est: u32) -> usize {
     if dests.len() <= 1 {
         return 1;
     }
+    let n = dests.len() + 1;
+    let costs = FpfsCosts::new(cfg, message_flits, hops_est);
+    let (mut shape, mut avail) = (Shape::default(), Vec::new());
     let mut best_k = 1;
     let mut best_t = u64::MAX;
     for k in 1..=dests.len().min(8) {
-        let tree = build_k_binomial(NodeId(u16::MAX), dests, k);
-        let t = estimate_fpfs_completion(&tree, cfg, message_flits, hops_est);
+        shape.rebuild(n, k);
+        let t = costs.estimate(&shape, &mut avail);
         if t < best_t {
             best_t = t;
             best_k = k;
+        }
+        if shape.max_fanout < k {
+            // The bound never bit, so every larger k builds this same
+            // shape, and a tie keeps the smaller k.
+            break;
         }
     }
     best_k

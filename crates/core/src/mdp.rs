@@ -63,26 +63,20 @@ pub fn plan_paths(
     assert!(!dests.is_empty(), "empty destination set");
     assert!(!dests.contains(source), "source among destinations");
 
-    let mut uncovered = dests;
+    let mut cover = Cover::new(net, &dests, variant);
     let mut senders: Vec<NodeId> = vec![source];
     let mut assignments: HashMap<NodeId, Vec<Arc<PathWormSpec>>> = HashMap::new();
     let mut worms = Vec::new();
     let mut phases = 0usize;
 
-    while !uncovered.is_empty() {
+    while cover.remaining > 0 {
         phases += 1;
         let mut new_senders = Vec::new();
-        let phase_senders = senders.clone();
-        for s in phase_senders {
-            if uncovered.is_empty() {
+        for &s in &senders {
+            if cover.remaining == 0 {
                 break;
             }
-            let spec = best_worm(net, net.topo.host_switch(s), &uncovered, variant);
-            for stop in &spec.stops {
-                for &d in &stop.drops {
-                    uncovered.remove(d);
-                }
-            }
+            let spec = cover.best_worm(net.topo.host_switch(s));
             // The next-phase sender is the worm's *anchor* destination —
             // the unicast addressee whose route the worm follows (its
             // final drop). It can only forward after the whole message
@@ -106,128 +100,211 @@ pub fn plan_paths(
     PathPlan { assignments, worms, phases }
 }
 
-/// Pick the best single worm from `from` over the `uncovered` set.
-///
-/// Candidate routes are exactly the *minimal legal unicast routes* from
-/// `from` to the switch of some uncovered destination — the paper's
-/// multi-drop worms "use almost exactly the same path followed by a
-/// unicast worm from a source to one of its destinations" (§3.2.4). Among
-/// those, pick the anchor destination whose best route maximizes the
-/// variant's score over uncovered destinations at the visited switches.
-fn best_worm(
-    net: &Network,
-    from: SwitchId,
-    uncovered: &NodeMask,
+/// The covering state of one multicast. Work per worm follows the
+/// uncovered destinations, not the switch count: switches are visited
+/// only as anchors hosting an uncovered destination or on a candidate
+/// route, and the route-DP buffers are allocated once per multicast.
+struct Cover<'a> {
+    net: &'a Network,
     variant: PathVariant,
-) -> PathWormSpec {
-    let n = net.topo.num_switches();
-    let counts: Vec<i64> = (0..n)
-        .map(|s| net.topo.nodes_at(SwitchId(s as u16)).intersection(uncovered).len() as i64)
-        .collect();
-    let weights: Vec<i64> = match variant {
-        PathVariant::Greedy => counts.clone(),
-        // Less greedy: each visited switch costs half a destination,
-        // preferring shorter and denser routes.
-        PathVariant::LessGreedy => counts.iter().map(|&c| 2 * c - 1).collect(),
-    };
+    /// The destinations ordered by (switch, node id).
+    dests: Vec<(SwitchId, NodeId)>,
+    /// The switches hosting a destination, ascending.
+    anchors: Vec<SwitchId>,
+    /// Uncovered destinations per switch. A worm drops at every
+    /// uncovered destination of a switch it visits, so a switch's
+    /// destinations are either all uncovered or all covered.
+    uncovered: Vec<u32>,
+    /// Uncovered destinations in total.
+    remaining: usize,
+    dp: RouteDp,
+}
 
-    // (score, dist, path-with-phases)
-    type Best = (i64, u16, Vec<(SwitchId, Phase)>);
-    let mut best: Option<Best> = None;
-    for (t, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue; // anchor must host an uncovered destination
+impl<'a> Cover<'a> {
+    fn new(net: &'a Network, dests: &NodeMask, variant: PathVariant) -> Self {
+        let n = net.topo.num_switches();
+        let mut by_switch: Vec<(SwitchId, NodeId)> =
+            dests.iter().map(|d| (net.topo.host_switch(d), d)).collect();
+        by_switch.sort_unstable();
+        let mut uncovered = vec![0u32; n];
+        let mut anchors = Vec::new();
+        for &(s, _) in &by_switch {
+            if uncovered[s.idx()] == 0 {
+                anchors.push(s);
+            }
+            uncovered[s.idx()] += 1;
         }
-        let target = SwitchId(t as u16);
-        let (score, path) = best_route_to(net, from, target, &weights);
-        let dist = net.routing.distance(from, Phase::Up, target);
-        let better = match &best {
-            None => true,
-            Some((bs, bd, _)) => score > *bs || (score == *bs && dist < *bd),
-        };
-        if better {
-            best = Some((score, dist, path));
+        Cover {
+            net,
+            variant,
+            remaining: by_switch.len(),
+            dests: by_switch,
+            anchors,
+            uncovered,
+            dp: RouteDp::new(n),
         }
     }
-    let (_, _, path) = best.expect("some uncovered destination must exist");
-    worm_from_path(net, &path, uncovered)
-        .expect("anchor switch hosts an uncovered destination")
+
+    /// Pick the best single worm from `from` over the uncovered
+    /// destinations and mark the ones it drops at as covered.
+    ///
+    /// Candidate routes are exactly the *minimal legal unicast routes*
+    /// from `from` to the switch of some uncovered destination — the
+    /// paper's multi-drop worms "use almost exactly the same path
+    /// followed by a unicast worm from a source to one of its
+    /// destinations" (§3.2.4). Among those, pick the anchor destination
+    /// whose best route maximizes the variant's score over uncovered
+    /// destinations at the visited switches; ties go to the shorter
+    /// route, then to the lower anchor switch id.
+    fn best_worm(&mut self, from: SwitchId) -> PathWormSpec {
+        let weight: fn(u32) -> i64 = match self.variant {
+            PathVariant::Greedy => |c| c as i64,
+            // Less greedy: each visited switch costs half a destination,
+            // preferring shorter and denser routes.
+            PathVariant::LessGreedy => |c| 2 * c as i64 - 1,
+        };
+        let mut best: Option<(i64, u16)> = None;
+        let mut best_path = Vec::new();
+        for &target in &self.anchors {
+            if self.uncovered[target.idx()] == 0 {
+                continue; // anchor must host an uncovered destination
+            }
+            let score = self.dp.best_score(self.net, from, target, &self.uncovered, weight);
+            let dist = self.net.routing.distance(from, Phase::Up, target);
+            let better = match best {
+                None => true,
+                Some((bs, bd)) => score > bs || (score == bs && dist < bd),
+            };
+            if better {
+                best = Some((score, dist));
+                self.dp.route(from, target, &mut best_path);
+            }
+        }
+        assert!(best.is_some(), "some uncovered destination must exist");
+        self.take_worm(&best_path)
+    }
+
+    /// The worm spec for a concrete switch path: drops at the first visit
+    /// of each switch holding uncovered destinations, which become
+    /// covered. Stops visited during the route's up* prefix are marked
+    /// `up_phase` so the simulator reaches them via up links only (see
+    /// [`irrnet_sim::PathStop::up_phase`]).
+    fn take_worm(&mut self, path: &[(SwitchId, Phase)]) -> PathWormSpec {
+        let mut stops = Vec::new();
+        for &(s, phase) in path {
+            if self.uncovered[s.idx()] == 0 {
+                continue;
+            }
+            let first = self.dests.partition_point(|&(sw, _)| sw < s);
+            let here = &self.dests[first..first + self.uncovered[s.idx()] as usize];
+            let drops: Vec<NodeId> = here.iter().map(|&(_, d)| d).collect();
+            self.remaining -= drops.len();
+            self.uncovered[s.idx()] = 0;
+            stops.push(PathStop { switch: s, drops, up_phase: phase == Phase::Up });
+        }
+        assert!(!stops.is_empty(), "anchor switch hosts an uncovered destination");
+        PathWormSpec { stops }
+    }
+}
+
+fn phase_idx(p: Phase) -> usize {
+    match p {
+        Phase::Up => 0,
+        Phase::Down => 1,
+    }
 }
 
 /// Over all minimal legal routes `from → target`, maximize the summed
-/// switch weight. Returns `(score, switch sequence with the routing
-/// phase at each switch)` including both ends.
-///
-/// The minimal-route relation is a DAG (distance strictly decreases per
-/// hop), so a memoized walk over the routing tables' next-hop candidates
-/// suffices.
-fn best_route_to(
-    net: &Network,
-    from: SwitchId,
-    target: SwitchId,
-    w: &[i64],
-) -> (i64, Vec<(SwitchId, Phase)>) {
-    let n = net.topo.num_switches();
-    // memo[phase][switch]: best score from (switch, phase) to target,
-    // and chosen next hop.
-    let mut score = vec![[i64::MIN; 2]; n];
-    let mut next: Vec<[Option<(usize, usize)>; 2]> = vec![[None; 2]; n]; // (next switch, next phase)
-    fn phase_idx(p: Phase) -> usize {
-        match p {
-            Phase::Up => 0,
-            Phase::Down => 1,
+/// switch weight. The minimal-route relation is a DAG (distance strictly
+/// decreases per hop), so a memoized walk over the routing tables'
+/// next-hop candidates suffices. The memo is indexed by (switch, phase)
+/// and reset entry by entry after each target, so one allocation serves
+/// every anchor of a multicast.
+struct RouteDp {
+    /// Best score from (switch, phase) to the current target
+    /// (`i64::MIN` = not computed).
+    score: Vec<[i64; 2]>,
+    /// The chosen next hop per (switch, phase): (switch, phase index).
+    next: Vec<[Option<(u16, u8)>; 2]>,
+    /// Switches with a memo entry for the current target.
+    touched: Vec<SwitchId>,
+}
+
+impl RouteDp {
+    fn new(num_switches: usize) -> Self {
+        RouteDp {
+            score: vec![[i64::MIN; 2]; num_switches],
+            next: vec![[None; 2]; num_switches],
+            touched: Vec::new(),
         }
     }
+
+    /// The best score of a minimal route `from → target`; the route
+    /// itself stays readable through [`RouteDp::route`] until the next
+    /// call.
+    fn best_score(
+        &mut self,
+        net: &Network,
+        from: SwitchId,
+        target: SwitchId,
+        uncovered: &[u32],
+        weight: fn(u32) -> i64,
+    ) -> i64 {
+        for s in self.touched.drain(..) {
+            self.score[s.idx()] = [i64::MIN; 2];
+        }
+        self.walk(net, target, uncovered, weight, from, Phase::Up)
+    }
+
     fn walk(
+        &mut self,
         net: &Network,
         target: SwitchId,
-        w: &[i64],
-        score: &mut Vec<[i64; 2]>,
-        next: &mut Vec<[Option<(usize, usize)>; 2]>,
+        uncovered: &[u32],
+        weight: fn(u32) -> i64,
         s: SwitchId,
         p: Phase,
     ) -> i64 {
         let (si, pi) = (s.idx(), phase_idx(p));
-        if score[si][pi] != i64::MIN {
-            return score[si][pi];
+        if self.score[si][pi] != i64::MIN {
+            return self.score[si][pi];
         }
+        if self.score[si] == [i64::MIN; 2] {
+            self.touched.push(s);
+        }
+        let w = weight(uncovered[si]);
         if s == target {
-            score[si][pi] = w[si];
-            return w[si];
+            self.score[si][pi] = w;
+            return w;
         }
         let mut best = i64::MIN;
         let mut choice = None;
-        // Collect hops first (borrow), then recurse.
-        let hops: Vec<(SwitchId, Phase)> = net
-            .routing
-            .next_hops(s, p, target)
-            .iter()
-            .map(|h| (h.next, h.next_phase))
-            .collect();
-        for (ns, np) in hops {
-            let sub = walk(net, target, w, score, next, ns, np);
+        for h in net.routing.next_hops(s, p, target) {
+            let sub = self.walk(net, target, uncovered, weight, h.next, h.next_phase);
             if sub > best {
                 best = sub;
-                choice = Some((ns.idx(), phase_idx(np)));
+                choice = Some((h.next.0, phase_idx(h.next_phase) as u8));
             }
         }
         debug_assert!(choice.is_some(), "no route {s} -> {target}");
-        score[si][pi] = w[si] + best;
-        next[si][pi] = choice;
-        score[si][pi]
+        self.score[si][pi] = w + best;
+        self.next[si][pi] = choice;
+        self.score[si][pi]
     }
-    let total = walk(net, target, w, &mut score, &mut next, from, Phase::Up);
-    // Reconstruct, tracking the routing phase at every visited switch.
-    let mut path = vec![(from, Phase::Up)];
-    let (mut si, mut pi) = (from.idx(), phase_idx(Phase::Up));
-    while SwitchId(si as u16) != target {
-        let (ns, np) = next[si][pi].expect("reconstruction follows memo");
-        let phase = if np == 0 { Phase::Up } else { Phase::Down };
-        path.push((SwitchId(ns as u16), phase));
-        si = ns;
-        pi = np;
+
+    /// The route behind the last [`RouteDp::best_score`], with the routing
+    /// phase at every visited switch, both ends included.
+    fn route(&self, from: SwitchId, target: SwitchId, path: &mut Vec<(SwitchId, Phase)>) {
+        path.clear();
+        path.push((from, Phase::Up));
+        let (mut s, mut p) = (from, 0usize);
+        while s != target {
+            let (ns, np) = self.next[s.idx()][p].expect("the route follows the memo");
+            s = SwitchId(ns);
+            p = np as usize;
+            path.push((s, if p == 0 { Phase::Up } else { Phase::Down }));
+        }
     }
-    (total, path)
 }
 
 /// Verify a worm spec against the network: every drop local to its stop,
@@ -275,36 +352,6 @@ pub fn verify_path_spec(
         here = stop.switch;
     }
     Ok(())
-}
-
-/// Build the worm spec for a concrete switch path: drops at the first
-/// visit of each switch holding uncovered destinations; trailing switches
-/// without drops are trimmed. Stops visited during the route's up* prefix
-/// are marked `up_phase` so the simulator reaches them via up links only
-/// (see [`irrnet_sim::PathStop::up_phase`]). Returns `None` if the path
-/// covers nothing.
-fn worm_from_path(
-    net: &Network,
-    path: &[(SwitchId, Phase)],
-    uncovered: &NodeMask,
-) -> Option<PathWormSpec> {
-    let mut remaining = uncovered.clone();
-    let mut stops = Vec::new();
-    for &(s, phase) in path {
-        let local = net.topo.nodes_at(s).intersection(&remaining);
-        if !local.is_empty() {
-            let drops: Vec<NodeId> = local.iter().collect();
-            for &d in &drops {
-                remaining.remove(d);
-            }
-            stops.push(PathStop { switch: s, drops, up_phase: phase == Phase::Up });
-        }
-    }
-    if stops.is_empty() {
-        None
-    } else {
-        Some(PathWormSpec { stops })
-    }
 }
 
 #[cfg(test)]

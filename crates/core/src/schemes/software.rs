@@ -5,7 +5,7 @@
 
 use super::{MulticastScheme, PlanCtx, PlanError, SchemeCaps};
 use crate::kbinomial::{build_k_binomial, choose_k, McastTree};
-use crate::order::{node_ranks, sort_by_rank};
+use crate::order::sort_by_rank;
 use crate::plan::{McastPlan, PlanMeta};
 use irrnet_sim::SendSpec;
 use irrnet_topology::{Network, NodeId};
@@ -25,7 +25,9 @@ impl MulticastScheme for UBinomialScheme {
     }
 
     fn plan(&self, ctx: &PlanCtx<'_>) -> Result<McastPlan, PlanError> {
-        Ok(plan_software_tree(ctx, None))
+        let ordered = rank_ordered(ctx);
+        let k = ordered.len().max(1);
+        Ok(plan_software_tree(ctx, &ordered, k, false))
     }
 }
 
@@ -43,75 +45,59 @@ impl MulticastScheme for NiFpfsScheme {
     }
 
     fn plan(&self, ctx: &PlanCtx<'_>) -> Result<McastPlan, PlanError> {
-        let ranks = node_ranks(ctx.net);
-        let mut ordered: Vec<NodeId> = ctx.dests.iter().collect();
-        sort_by_rank(&mut ordered, &ranks);
+        let ordered = rank_ordered(ctx);
         let k = choose_k(&ordered, ctx.cfg, ctx.message_flits, avg_hops_estimate(ctx.net));
-        Ok(plan_software_tree(ctx, Some(k)))
+        Ok(plan_software_tree(ctx, &ordered, k, true))
     }
 }
 
-/// Shared construction for the two software-tree schemes: binomial
-/// (`k = None` ⇒ unbounded fan-out, host forwarding) and k-binomial FPFS
-/// (`k = Some(_)`, NI forwarding).
-pub(crate) fn plan_software_tree(ctx: &PlanCtx<'_>, fpfs_k: Option<usize>) -> McastPlan {
-    let ranks = node_ranks(ctx.net);
+/// The destinations in canonical chain order.
+fn rank_ordered(ctx: &PlanCtx<'_>) -> Vec<NodeId> {
     let mut ordered: Vec<NodeId> = ctx.dests.iter().collect();
-    sort_by_rank(&mut ordered, &ranks);
-    let k = fpfs_k.unwrap_or(ordered.len().max(1));
-    let tree: McastTree = build_k_binomial(ctx.source, &ordered, k);
+    sort_by_rank(&mut ordered, ctx.net.node_ranks());
+    ordered
+}
+
+/// Shared construction for the two software-tree schemes: the k-binomial
+/// tree over the rank-ordered destinations, forwarded by the hosts
+/// (binomial, `k` = #dests) or by the smart NIs (k-binomial FPFS).
+fn plan_software_tree(ctx: &PlanCtx<'_>, ordered: &[NodeId], k: usize, fpfs: bool) -> McastPlan {
+    let tree: McastTree = build_k_binomial(ctx.source, ordered, k);
     debug_assert!(tree.verify().is_ok());
     let phases = tree.rounds;
     let worms = ordered.len(); // one message per tree edge
 
-    if let Some(k) = fpfs_k {
+    // Every entry but the source's is an interior node's forwarding list.
+    let mut forwards = tree.children;
+    let root_kids = forwards.remove(&ctx.source).unwrap_or_default();
+
+    if fpfs {
         // NI-based FPFS: the source sends once (its NI fans out); every
         // interior node forwards at the NI.
-        let initial = vec![SendSpec::FpfsChildren {
-            children: tree.children_of(ctx.source).to_vec(),
-        }];
-        let mut fpfs_children = HashMap::new();
-        for (&n, kids) in &tree.children {
-            if n != ctx.source && !kids.is_empty() {
-                fpfs_children.insert(n, kids.clone());
-            }
-        }
         McastPlan {
             scheme: ctx.id,
             caps: SchemeCaps { ni_forwarding: true, switch_replication: false },
             source: ctx.source,
             dests: ctx.dests.clone(),
             message_flits: ctx.message_flits,
-            initial,
+            initial: vec![SendSpec::FpfsChildren { children: root_kids }],
             on_delivered: HashMap::new(),
-            fpfs_children,
+            fpfs_children: forwards,
             ni_path_forwards: HashMap::new(),
             meta: PlanMeta { worms, phases, k },
         }
     } else {
         // Software binomial: every edge is a separate host-level send.
-        let initial = tree
-            .children_of(ctx.source)
-            .iter()
-            .map(|&c| SendSpec::Unicast { dest: c })
-            .collect();
-        let mut on_delivered = HashMap::new();
-        for (&n, kids) in &tree.children {
-            if n != ctx.source && !kids.is_empty() {
-                on_delivered.insert(
-                    n,
-                    kids.iter().map(|&c| SendSpec::Unicast { dest: c }).collect(),
-                );
-            }
-        }
+        let unicasts =
+            |kids: Vec<NodeId>| kids.into_iter().map(|dest| SendSpec::Unicast { dest }).collect();
         McastPlan {
             scheme: ctx.id,
             caps: SchemeCaps::default(),
             source: ctx.source,
             dests: ctx.dests.clone(),
             message_flits: ctx.message_flits,
-            initial,
-            on_delivered,
+            initial: unicasts(root_kids),
+            on_delivered: forwards.into_iter().map(|(n, kids)| (n, unicasts(kids))).collect(),
             fpfs_children: HashMap::new(),
             ni_path_forwards: HashMap::new(),
             meta: PlanMeta { worms, phases, k: 0 },
@@ -121,21 +107,6 @@ pub(crate) fn plan_software_tree(ctx: &PlanCtx<'_>, fpfs_k: Option<usize>) -> Mc
 
 /// Rough average hop count for the FPFS cost model: the up*/down*
 /// diameter is small; use half of it plus one.
-pub(crate) fn avg_hops_estimate(net: &Network) -> u32 {
-    use irrnet_topology::Phase;
-    let n = net.topo.num_switches();
-    let mut max = 0u16;
-    for s in 0..n {
-        for t in 0..n {
-            let d = net.routing.distance(
-                irrnet_topology::SwitchId(s as u16),
-                Phase::Up,
-                irrnet_topology::SwitchId(t as u16),
-            );
-            if d != irrnet_topology::routing::UNREACHABLE {
-                max = max.max(d);
-            }
-        }
-    }
-    (max as u32) / 2 + 1
+fn avg_hops_estimate(net: &Network) -> u32 {
+    net.routing.diameter() as u32 / 2 + 1
 }

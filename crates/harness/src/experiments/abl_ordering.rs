@@ -6,7 +6,7 @@
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::kbinomial::McastTree;
-use irrnet_core::order::{node_ranks, sort_by_rank};
+use irrnet_core::order::sort_by_rank;
 use irrnet_core::{
     build_k_binomial, build_k_binomial_scattered, tree_link_loads, McastPlan, PlanMeta, Scheme,
     SchemeProtocol,
@@ -80,9 +80,8 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                 let mut maxl = [0usize; 2];
                 for &seed in seeds {
                     let net = ctx.cache.network(&RandomTopologyConfig::paper_default(seed))?;
-                    let ranks = node_ranks(&net);
                     let mut dests: Vec<NodeId> = (1..=16).map(NodeId).collect();
-                    sort_by_rank(&mut dests, &ranks);
+                    sort_by_rank(&mut dests, net.node_ranks());
                     let trees = [
                         build_k_binomial(NodeId(0), &dests, k),
                         build_k_binomial_scattered(NodeId(0), &dests, k),

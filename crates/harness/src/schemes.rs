@@ -10,7 +10,7 @@
 //! [`named`]), so a scheme added at runtime is selectable exactly like a
 //! built-in one.
 
-use irrnet_core::order::{node_ranks, sort_by_rank};
+use irrnet_core::order::sort_by_rank;
 use irrnet_core::{
     McastPlan, MulticastScheme, PlanCtx, PlanError, PlanMeta, SchemeCaps, SchemeId, SchemeRegistry,
 };
@@ -49,9 +49,8 @@ impl MulticastScheme for CappedTreeWorm {
 
     fn plan(&self, ctx: &PlanCtx<'_>) -> Result<McastPlan, PlanError> {
         let net = ctx.net;
-        let ranks = node_ranks(net);
         let mut dests: Vec<NodeId> = ctx.dests.iter().collect();
-        sort_by_rank(&mut dests, &ranks);
+        sort_by_rank(&mut dests, net.node_ranks());
         // Contiguous rank-sorted chunks keep each worm's destinations
         // clustered (same placement argument as the k-binomial layout).
         let chunk = dests.len().div_ceil(MAX_WORMS).max(1);

@@ -337,6 +337,11 @@ impl<'n, P: Protocol> Simulator<'n, P> {
             .map(|(_, s)| s.num_ports())
             .max()
             .unwrap_or(0);
+        if pmax > 32 {
+            return Err(SimError::BadConfig(format!(
+                "switch degree {pmax} exceeds the 32-port activity-mask limit"
+            )));
+        }
         let ns = net.topo.num_switches();
         let nh = net.topo.num_nodes();
         let mut out_sink = vec![None; ns * pmax];
@@ -373,7 +378,6 @@ impl<'n, P: Protocol> Simulator<'n, P> {
             let SinkRef::SwIn { sw, port } = *sink else { unreachable!() };
             feeder_in[sw as usize * pmax + port as usize] = Feeder::Host(n as u16);
         }
-        assert!(pmax <= 32, "switch degree {pmax} exceeds the 32-port activity-mask limit");
         Ok(Simulator {
             net,
             cfg,

@@ -7,7 +7,7 @@ use irrnet_sim::{
     McastId, SendSpec, SimConfig, SimError, Simulator, StaticProtocol,
 };
 use irrnet_topology::{
-    zoo, FaultEvent, FaultKind, FaultPlan, LinkId, Network, NodeId, NodeMask,
+    zoo, FaultEvent, FaultKind, FaultPlan, LinkId, Network, NodeId, NodeMask, TopologyBuilder,
 };
 
 fn tiny_cfg() -> SimConfig {
@@ -48,6 +48,25 @@ fn bad_config_zero_packet() {
     let mut c = tiny_cfg();
     c.packet_payload_flits = 0;
     expect_bad_config(c, "packet size");
+}
+
+#[test]
+fn bad_config_switch_wider_than_32_ports() {
+    // The engine keeps per-switch port activity in 32-bit masks; a
+    // 40-port switch is a configuration error, not a panic.
+    let mut b = TopologyBuilder::new();
+    let s0 = b.add_switch(40);
+    let s1 = b.add_switch(40);
+    b.add_link(s0, s1).unwrap();
+    b.add_host(s0).unwrap();
+    b.add_host(s1).unwrap();
+    let net = Network::analyze(b.build().unwrap()).unwrap();
+    match Simulator::new(&net, tiny_cfg(), StaticProtocol::new()) {
+        Err(SimError::BadConfig(msg)) => {
+            assert!(msg.contains("switch degree 40"), "message {msg:?}")
+        }
+        other => panic!("expected BadConfig, got {:?}", other.err()),
+    }
 }
 
 #[test]

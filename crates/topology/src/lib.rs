@@ -77,7 +77,13 @@ pub mod prelude {
 ///
 /// Constructing a [`Network`] runs the whole Autonet pipeline once
 /// (BFS spanning tree, up/down orientation, routing tables, reachability
-/// strings) so later per-multicast planning is cheap.
+/// strings). The network also holds the per-network inputs of multicast
+/// planning — the locality ranks ([`Network::node_ranks`], computed on
+/// first use) and the up*/down* diameter ([`RoutingTables::diameter`],
+/// taken with the routing tables) — so a plan reads them instead of
+/// re-deriving them, and its cost follows the multicast, not the
+/// network. [`Network::degrade`] recomputes both with the orientation
+/// and tables they come from.
 #[derive(Debug, Clone)]
 pub struct Network {
     /// The raw switch/host/link graph.
@@ -150,6 +156,18 @@ impl Network {
             reach,
             status: Some(status.clone()),
         })
+    }
+
+    /// Locality rank of every node, indexed by node id: a permutation of
+    /// `0..num_nodes` giving the canonical chain the software-tree
+    /// planners order destinations by, so subtrees of a logical tree map
+    /// onto nearby switches (after Kesavan–Panda's ordered chains).
+    /// Switches are ranked by a depth-first walk of the up*/down*
+    /// orientation's down-DAG from the root (lower-id children first);
+    /// nodes on the same switch get consecutive ranks in id order.
+    /// Computed on the first call and kept with the orientation.
+    pub fn node_ranks(&self) -> &[u32] {
+        self.updown.node_ranks(&self.topo)
     }
 
     /// Number of processing nodes attached to the network.

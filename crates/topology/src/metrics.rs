@@ -38,7 +38,6 @@ pub struct NetworkMetrics {
 /// Compute the metrics of an analyzed network.
 pub fn network_metrics(net: &Network) -> NetworkMetrics {
     let n = net.topo.num_switches();
-    let mut diameter = 0u16;
     let mut sum = 0u64;
     let mut pairs = 0u64;
     let mut adaptive = 0u64;
@@ -50,7 +49,6 @@ pub fn network_metrics(net: &Network) -> NetworkMetrics {
             let (sa, sb) = (SwitchId(a as u16), SwitchId(b as u16));
             let d = net.routing.distance(sa, Phase::Up, sb);
             debug_assert_ne!(d, UNREACHABLE);
-            diameter = diameter.max(d);
             sum += d as u64;
             pairs += 1;
             if net.routing.next_hops(sa, Phase::Up, sb).len() > 1 {
@@ -62,7 +60,7 @@ pub fn network_metrics(net: &Network) -> NetworkMetrics {
         switches: n,
         nodes: net.topo.num_nodes(),
         links: net.topo.num_links(),
-        diameter,
+        diameter: net.routing.diameter(),
         mean_distance: if pairs == 0 { 0.0 } else { sum as f64 / pairs as f64 },
         adaptive_fraction: if pairs == 0 { 0.0 } else { adaptive as f64 / pairs as f64 },
         nodes_per_switch: net.topo.avg_nodes_per_switch(),

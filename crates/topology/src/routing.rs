@@ -86,6 +86,8 @@ pub struct RoutingTables {
     dist_up: Vec<u16>,
     /// Minimal next hops for the up-only plane.
     hops_up: CandCsr,
+    /// Longest minimal legal route between two connected switches.
+    diameter: u16,
 }
 
 /// Enumerate every minimal next-hop candidate of the two main planes, in
@@ -312,7 +314,8 @@ impl RoutingTables {
             cursor_up[cell] += 1;
         });
 
-        Ok(RoutingTables { num_switches: n, dist, hops, dist_up, hops_up })
+        let diameter = dist[0].iter().copied().filter(|&d| d != UNREACHABLE).max().unwrap_or(0);
+        Ok(RoutingTables { num_switches: n, dist, hops, dist_up, hops_up, diameter })
     }
 
     /// Minimal hop count from `s` to `t` using only up links, or
@@ -342,6 +345,14 @@ impl RoutingTables {
     #[inline]
     pub fn next_hops(&self, s: SwitchId, phase: Phase, t: SwitchId) -> &[PortCandidate] {
         self.hops[phase.idx()].row(s.idx() * self.num_switches + t.idx())
+    }
+
+    /// The up*/down* diameter: the longest minimal legal route (starting
+    /// in `Phase::Up`) over all pairs of mutually reachable switches.
+    /// Computed once with the tables.
+    #[inline]
+    pub fn diameter(&self) -> u16 {
+        self.diameter
     }
 
     /// Number of switches the tables were built for.

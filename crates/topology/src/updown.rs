@@ -14,8 +14,9 @@
 use crate::error::TopologyError;
 use crate::fault::FaultStatus;
 use crate::graph::{PortUse, Topology};
-use crate::ids::{LinkId, PortIdx, SwitchId};
+use crate::ids::{LinkId, NodeId, PortIdx, SwitchId};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// BFS spanning tree plus per-link up-end assignment.
 #[derive(Debug, Clone)]
@@ -29,6 +30,9 @@ pub struct UpDown {
     parent_link: Vec<Option<LinkId>>,
     /// For each link, which side (0 = `a`, 1 = `b`) is the *up* end.
     up_side: Vec<u8>,
+    /// Locality rank of each node, computed on first use (see
+    /// [`UpDown::node_ranks`]).
+    node_ranks: OnceLock<Vec<u32>>,
 }
 
 impl UpDown {
@@ -130,7 +134,53 @@ impl UpDown {
             let side = if la < lb || (la == lb && sa < sb) { 0 } else { 1 };
             up_side.push(side);
         }
-        Ok(UpDown { root, level, parent, parent_link, up_side })
+        Ok(UpDown { root, level, parent, parent_link, up_side, node_ranks: OnceLock::new() })
+    }
+
+    /// Rank every node by network locality: switches in depth-first order
+    /// of the down-DAG from the root (lower-id children first), the nodes
+    /// of one switch consecutive in id order.
+    fn locality_ranks(&self, topo: &Topology) -> Vec<u32> {
+        let n_sw = topo.num_switches();
+        let mut sw_rank = vec![u32::MAX; n_sw];
+        let mut next = 0u32;
+        let mut stack = vec![self.root];
+        let mut kids: Vec<SwitchId> = Vec::new();
+        while let Some(s) = stack.pop() {
+            if sw_rank[s.idx()] != u32::MAX {
+                continue;
+            }
+            sw_rank[s.idx()] = next;
+            next += 1;
+            kids.clear();
+            kids.extend(
+                self.down_links(topo, s)
+                    .map(|(_, peer, _)| peer)
+                    .filter(|p| sw_rank[p.idx()] == u32::MAX),
+            );
+            kids.sort_unstable();
+            kids.dedup();
+            // Push in reverse so the lowest-id child is visited first.
+            stack.extend(kids.iter().rev());
+        }
+        debug_assert!(sw_rank.iter().all(|&r| r != u32::MAX), "down-DAG did not span");
+
+        let n = topo.num_nodes();
+        let mut ranks = vec![0u32; n];
+        let mut order: Vec<NodeId> = (0..n).map(|i| NodeId(i as u16)).collect();
+        order.sort_by_key(|&nd| (sw_rank[topo.host_switch(nd).idx()], nd.0));
+        for (r, nd) in order.into_iter().enumerate() {
+            ranks[nd.idx()] = r as u32;
+        }
+        ranks
+    }
+
+    /// Locality rank of every node of `topo` (the topology this
+    /// orientation was computed for), indexed by node id; see
+    /// [`crate::Network::node_ranks`]. Computed on the first call and
+    /// kept with the orientation.
+    pub(crate) fn node_ranks(&self, topo: &Topology) -> &[u32] {
+        self.node_ranks.get_or_init(|| self.locality_ranks(topo))
     }
 
     /// The spanning-tree root.
@@ -337,6 +387,14 @@ mod tests {
             UpDown::compute(&t, SwitchId(99)),
             Err(TopologyError::BadRoot(_))
         ));
+    }
+
+    #[test]
+    fn node_ranks_follow_the_down_dag() {
+        // DFS over down links from S0, lower ids first. S1 reaches S2 over
+        // the equal-level cross link (S1 is its up end) before S3 does.
+        let (t, ud) = diamond();
+        assert_eq!(ud.node_ranks(&t), &[0, 1, 2, 3]);
     }
 
     #[test]

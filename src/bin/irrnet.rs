@@ -65,11 +65,22 @@ fn sim_config(flags: &HashMap<String, String>) -> SimConfig {
     cfg
 }
 
-fn cmd_single(flags: HashMap<String, String>) -> ExitCode {
-    let Some(scheme) = flags.get("scheme").and_then(|s| scheme_by_name(s)) else {
-        eprintln!("--scheme required; see `irrnet schemes`");
-        return ExitCode::FAILURE;
-    };
+/// Generate and analyze the random topology the flags describe.
+fn network(flags: &HashMap<String, String>, seed: u64) -> Result<Network, String> {
+    irrnet::topology::gen::generate(&topo_config(flags, seed))
+        .and_then(Network::analyze)
+        .map_err(|e| format!("topology error: {e}"))
+}
+
+fn scheme_flag(flags: &HashMap<String, String>) -> Result<Scheme, String> {
+    flags
+        .get("scheme")
+        .and_then(|s| scheme_by_name(s))
+        .ok_or_else(|| "--scheme required; see `irrnet schemes`".to_string())
+}
+
+fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
+    let scheme = scheme_flag(&flags)?;
     let degree: usize = get(&flags, "degree", 8);
     let msg: u32 = get(&flags, "msg", 128);
     let seeds: u64 = get(&flags, "seeds", 5);
@@ -77,17 +88,9 @@ fn cmd_single(flags: HashMap<String, String>) -> ExitCode {
     let cfg = sim_config(&flags);
     let mut sum = 0.0;
     for seed in 0..seeds {
-        let net = match irrnet::topology::gen::generate(&topo_config(&flags, seed))
-            .map_err(|e| e.to_string())
-            .and_then(|t| Network::analyze(t).map_err(|e| e.to_string()))
-        {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("topology error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        sum += mean_single_latency(&net, &cfg, scheme, degree, msg, trials, seed).unwrap();
+        let net = network(&flags, seed)?;
+        sum += mean_single_latency(&net, &cfg, scheme, degree, msg, trials, seed)
+            .map_err(|e| format!("simulation error: {e}"))?;
     }
     let mean = sum / seeds as f64;
     println!(
@@ -97,24 +100,18 @@ fn cmd_single(flags: HashMap<String, String>) -> ExitCode {
         mean / 100.0,
         cfg.r_ratio()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_load(flags: HashMap<String, String>) -> ExitCode {
-    let Some(scheme) = flags.get("scheme").and_then(|s| scheme_by_name(s)) else {
-        eprintln!("--scheme required; see `irrnet schemes`");
-        return ExitCode::FAILURE;
-    };
+fn cmd_load(flags: HashMap<String, String>) -> Result<(), String> {
+    let scheme = scheme_flag(&flags)?;
     let degree: usize = get(&flags, "degree", 8);
     let load: f64 = get(&flags, "load", 0.1);
     let cfg = sim_config(&flags);
-    let net = Network::analyze(
-        irrnet::topology::gen::generate(&topo_config(&flags, get(&flags, "seed", 0))).unwrap(),
-    )
-    .unwrap();
+    let net = network(&flags, get(&flags, "seed", 0))?;
     let mut lc = LoadConfig::paper_default(degree, load);
     lc.message_flits = get(&flags, "msg", 128);
-    let r = run_load(&net, &cfg, scheme, &lc).unwrap();
+    let r = run_load(&net, &cfg, scheme, &lc).map_err(|e| format!("simulation error: {e}"))?;
     println!(
         "{} at effective load {load}: launched {}, completed {}, saturated: {}",
         scheme.name(),
@@ -125,15 +122,12 @@ fn cmd_load(flags: HashMap<String, String>) -> ExitCode {
     if let Some(l) = r.mean_latency {
         println!("mean latency {l:.0} cycles ({:.1} µs at 10 ns)", l / 100.0);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_topo(flags: HashMap<String, String>) -> ExitCode {
+fn cmd_topo(flags: HashMap<String, String>) -> Result<(), String> {
     let seed = get(&flags, "seed", 0u64);
-    let net = Network::analyze(
-        irrnet::topology::gen::generate(&topo_config(&flags, seed)).unwrap(),
-    )
-    .unwrap();
+    let net = network(&flags, seed)?;
     if flags.contains_key("dot") {
         print!("{}", dot::to_dot(&net.topo, Some(&net.updown)));
     } else {
@@ -153,16 +147,13 @@ fn cmd_topo(flags: HashMap<String, String>) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_metrics(flags: HashMap<String, String>) -> ExitCode {
+fn cmd_metrics(flags: HashMap<String, String>) -> Result<(), String> {
     use irrnet::topology::metrics::{network_metrics, updown_stretch_fraction};
     let seed = get(&flags, "seed", 0u64);
-    let net = Network::analyze(
-        irrnet::topology::gen::generate(&topo_config(&flags, seed)).unwrap(),
-    )
-    .unwrap();
+    let net = network(&flags, seed)?;
     let m = network_metrics(&net);
     println!("seed {seed}:");
     println!("  switches            {}", m.switches);
@@ -176,7 +167,7 @@ fn cmd_metrics(flags: HashMap<String, String>) -> ExitCode {
         "  up*/down* stretch   {:.0}% of pairs lose their shortest route",
         updown_stretch_fraction(&net) * 100.0
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -186,7 +177,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let flags = parse_flags(&args[1..]);
-    match cmd.as_str() {
+    let done = match cmd.as_str() {
         "single" => cmd_single(flags),
         "load" => cmd_load(flags),
         "topo" => cmd_topo(flags),
@@ -195,10 +186,14 @@ fn main() -> ExitCode {
             for s in Scheme::all() {
                 println!("{}", s.name());
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
-        other => {
-            eprintln!("unknown command: {other}");
+        other => Err(format!("unknown command: {other}")),
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
