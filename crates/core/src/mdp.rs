@@ -279,7 +279,7 @@ impl RouteDp {
         }
         let mut best = i64::MIN;
         let mut choice = None;
-        for h in net.routing.next_hops(s, p, target) {
+        for h in net.routing.next_hops(s, p, target).iter() {
             let sub = self.walk(net, target, uncovered, weight, h.next, h.next_phase);
             if sub > best {
                 best = sub;

@@ -459,7 +459,7 @@ mod tests {
         assert_eq!(forward, backward.into_iter().rev().collect::<Vec<_>>());
         // At 15% combined rate, 64 draws must include both outcomes.
         assert!(forward.iter().any(|f| *f != FlitFate::Ok));
-        assert!(forward.iter().any(|f| *f == FlitFate::Ok));
+        assert!(forward.contains(&FlitFate::Ok));
         // A different seed reshuffles the pattern.
         let m2 = ErrorModel::uniform(100_000_000, 50_000_000, 0xF00D);
         let other: Vec<FlitFate> = (0..64).map(|c| m2.fate(3, c)).collect();

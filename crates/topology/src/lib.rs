@@ -15,7 +15,9 @@
 //! * [`routing::RoutingTables`] — deadlock-free adaptive up*/down* routing:
 //!   all minimal legal next hops for every (switch, phase, destination
 //!   switch) triple, where a legal route traverses zero or more *up* links
-//!   followed by zero or more *down* links;
+//!   followed by zero or more *down* links. A destination's distances are
+//!   computed the first time it is routed to, and next hops are derived
+//!   from them at lookup, so routing state grows with what is routed;
 //! * [`reach::Reachability`] — the per-output-port *reachability strings*
 //!   used by the tree-based multidestination-worm scheme (§3.2.3);
 //! * [`apex::ApexPlan`] — the up-phase guidance a tree-based worm needs to
@@ -24,7 +26,9 @@
 //!   (the paper averages results over several of these), and [`zoo`] — a few
 //!   fixed topologies for tests and examples.
 //!
-//! All structures are immutable after construction and cheap to share.
+//! All structures are immutable after construction and cheap to share;
+//! the values computed on first use sit in `OnceLock`s, so a shared
+//! network fills them in safely from any thread.
 
 pub mod apex;
 pub mod builder;
@@ -76,14 +80,16 @@ pub mod prelude {
 /// structure the simulator and the multicast planners consume.
 ///
 /// Constructing a [`Network`] runs the whole Autonet pipeline once
-/// (BFS spanning tree, up/down orientation, routing tables, reachability
-/// strings). The network also holds the per-network inputs of multicast
-/// planning — the locality ranks ([`Network::node_ranks`], computed on
-/// first use) and the up*/down* diameter ([`RoutingTables::diameter`],
-/// taken with the routing tables) — so a plan reads them instead of
-/// re-deriving them, and its cost follows the multicast, not the
-/// network. [`Network::degrade`] recomputes both with the orientation
-/// and tables they come from.
+/// (BFS spanning tree, up/down orientation, each switch's routing moves,
+/// reachability strings). Routing distances are computed per destination
+/// switch on first use, so analysis costs O(links) for routing and a
+/// network that carries only tree worms never builds a distance column.
+/// The network also holds the per-network inputs of multicast planning —
+/// the locality ranks ([`Network::node_ranks`]) and the up*/down*
+/// diameter ([`RoutingTables::diameter`]), each computed on first use
+/// and kept — so a plan reads them instead of re-deriving them, and its
+/// cost follows the multicast, not the network. [`Network::degrade`]
+/// starts both afresh with the orientation and routing they come from.
 #[derive(Debug, Clone)]
 pub struct Network {
     /// The raw switch/host/link graph.
@@ -120,8 +126,9 @@ impl Network {
     /// Re-analyze the network after faults, Autonet-style: re-elect a root
     /// (the previous root if it survived, else the lowest-id alive switch),
     /// recompute the up/down orientation over surviving links only, and
-    /// rebuild routing tables and reachability strings so no route or tree
-    /// branch crosses a dead component.
+    /// rebuild the routing moves and reachability strings so no route or
+    /// tree branch crosses a dead component. Distance columns start empty
+    /// and are recomputed for the destinations routed to afterwards.
     ///
     /// Returns [`TopologyError::PartitionedNetwork`] when the surviving
     /// graph is disconnected — callers decide whether that is fatal.

@@ -505,7 +505,7 @@ mod tests {
         assert!(a.intersects(&b));
         // Intersecting away every wide member must collapse to the
         // inline arm so equality with an inline-built set holds.
-        let only_low = a.intersection(&NodeMask::all(128));
+        let only_low = a.intersection(NodeMask::all(128));
         assert_eq!(only_low, NodeMask::single(NodeId(1)));
         assert_eq!(only_low.heap_bytes(), 0);
         // Difference of equal wide sets is the (inline) empty set.

@@ -1,4 +1,4 @@
-//! Deadlock-free adaptive up*/down* routing tables (§2.2).
+//! Deadlock-free adaptive up*/down* routing (§2.2).
 //!
 //! A legal route traverses zero or more links in the *up* direction
 //! followed by zero or more links in the *down* direction; a packet may
@@ -6,9 +6,14 @@
 //! every port that lies on a *minimal* legal route to the destination is a
 //! valid choice, and the simulator picks whichever candidate is free.
 //!
-//! The tables are computed once per topology by a backward BFS per
-//! destination switch over the two-phase state graph
-//! `(switch, phase ∈ {Up, Down})`.
+//! Routing state costs what is routed. Analysis keeps each switch's moves
+//! (O(links)). The distances toward a destination switch form one column,
+//! computed by a backward BFS over the two-phase state graph
+//! `(switch, phase ∈ {Up, Down})` the first time a lookup names that
+//! destination, and kept. Next hops are derived at lookup: the moves out
+//! of the switch that lead one hop closer in the right plane.
+
+use std::sync::OnceLock;
 
 use crate::error::TopologyError;
 use crate::fault::FaultStatus;
@@ -54,111 +59,112 @@ pub struct PortCandidate {
 /// Distance not reachable marker.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// Compressed-sparse-row candidate storage: one contiguous candidate
-/// array plus `n² + 1` offsets. A `Vec<Vec<PortCandidate>>` of n² cells
-/// costs 24 bytes of header plus an allocation *per cell* (~1M cells at
-/// 1000 switches, per plane); CSR keeps two flat allocations per plane.
-#[derive(Debug, Clone, Default)]
-struct CandCsr {
-    offsets: Vec<u32>,
-    cands: Vec<PortCandidate>,
+/// Candidates a [`NextHops`] holds without allocating: the widest switch
+/// the simulator accepts.
+const INLINE_HOPS: usize = 32;
+
+/// The minimal next hops of one lookup, by value, in the switch's port
+/// order; derefs to `&[PortCandidate]`. Held inline unless the switch has
+/// more than 32 moves.
+#[derive(Debug, Clone)]
+pub struct NextHops {
+    len: u8,
+    inline: [PortCandidate; INLINE_HOPS],
+    /// The candidates of a switch with more than 32 moves; empty otherwise.
+    heap: Vec<PortCandidate>,
 }
 
-impl CandCsr {
+impl NextHops {
+    /// The moves `pick` admits, each with the phase `pick` returns for it.
     #[inline]
-    fn row(&self, cell: usize) -> &[PortCandidate] {
-        &self.cands[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
+    fn collect(moves: &[Move], mut pick: impl FnMut(&Move) -> Option<Phase>) -> Self {
+        const FILLER: PortCandidate =
+            PortCandidate { port: PortIdx(0), link: LinkId(0), next: SwitchId(0), next_phase: Phase::Up };
+        let cand = |m: &Move, next_phase| PortCandidate { port: m.port, link: m.link, next: m.next, next_phase };
+        let mut inline = [FILLER; INLINE_HOPS];
+        if moves.len() > INLINE_HOPS {
+            let heap = moves.iter().filter_map(|m| pick(m).map(|p| cand(m, p))).collect();
+            return NextHops { len: 0, inline, heap };
+        }
+        let mut len = 0;
+        for m in moves {
+            if let Some(p) = pick(m) {
+                inline[len] = cand(m, p);
+                len += 1;
+            }
+        }
+        NextHops { len: len as u8, inline, heap: Vec::new() }
     }
 }
 
-/// All-pairs minimal up*/down* distances and next-hop candidate sets.
+impl std::ops::Deref for NextHops {
+    type Target = [PortCandidate];
+
+    #[inline]
+    fn deref(&self) -> &[PortCandidate] {
+        if self.heap.is_empty() {
+            &self.inline[..self.len as usize]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl IntoIterator for NextHops {
+    type Item = PortCandidate;
+    type IntoIter = NextHopsIter;
+
+    fn into_iter(self) -> NextHopsIter {
+        NextHopsIter { hops: self, at: 0 }
+    }
+}
+
+/// By-value iterator over a [`NextHops`].
+#[derive(Debug, Clone)]
+pub struct NextHopsIter {
+    hops: NextHops,
+    at: usize,
+}
+
+impl Iterator for NextHopsIter {
+    type Item = PortCandidate;
+
+    fn next(&mut self) -> Option<PortCandidate> {
+        let cand = self.hops.get(self.at).copied();
+        self.at += 1;
+        cand
+    }
+}
+
+/// One traversal out of a switch.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    port: PortIdx,
+    link: LinkId,
+    next: SwitchId,
+    /// The traversal goes up, so it is legal only in `Phase::Up`.
+    is_up: bool,
+}
+
+/// Minimal up*/down* distances and next-hop candidates, computed per
+/// destination switch on first use.
 #[derive(Debug, Clone)]
 pub struct RoutingTables {
     num_switches: usize,
-    /// `dist[phase][s * n + t]` = minimal legal hops from `s` (in `phase`)
-    /// to switch `t`; `UNREACHABLE` if none.
-    dist: [Vec<u16>; 2],
-    /// Minimal next-hop candidates per `(phase, s * n + t)` cell.
-    hops: [CandCsr; 2],
-    /// `dist_up[s * n + t]` = minimal hops from `s` to `t` using **up
-    /// links only** (so the worm arrives with its up* prefix intact);
-    /// `UNREACHABLE` if no pure-up route exists.
-    dist_up: Vec<u16>,
-    /// Minimal next hops for the up-only plane.
-    hops_up: CandCsr,
-    /// Longest minimal legal route between two connected switches.
-    diameter: u16,
-}
-
-/// Enumerate every minimal next-hop candidate of the two main planes, in
-/// deterministic `(s, move, t)` order. Called twice per compute: once to
-/// count per cell, once to place — both passes must see identical output.
-fn for_each_main_candidate(
-    n: usize,
-    moves: &[Vec<(PortIdx, LinkId, SwitchId, bool)>],
-    dist: &[Vec<u16>; 2],
-    sink: &mut impl FnMut(usize, usize, PortCandidate),
-) {
-    for (s, ms) in moves.iter().enumerate() {
-        for &(port, link, next, is_up) in ms {
-            for t in 0..n {
-                // From (s, Up):
-                let next_phase = if is_up { Phase::Up } else { Phase::Down };
-                let d_here = dist[0][s * n + t];
-                let d_next = dist[next_phase.idx()][next.idx() * n + t];
-                if d_here != UNREACHABLE && d_next != UNREACHABLE && d_next + 1 == d_here {
-                    sink(0, s * n + t, PortCandidate { port, link, next, next_phase });
-                }
-                // From (s, Down): only down traversals are legal.
-                if !is_up {
-                    let d_here = dist[1][s * n + t];
-                    let d_next = dist[1][next.idx() * n + t];
-                    if d_here != UNREACHABLE && d_next != UNREACHABLE && d_next + 1 == d_here {
-                        sink(1, s * n + t, PortCandidate { port, link, next, next_phase: Phase::Down });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Same two-pass enumeration for the up-only plane.
-fn for_each_up_candidate(
-    n: usize,
-    moves: &[Vec<(PortIdx, LinkId, SwitchId, bool)>],
-    dist_up: &[u16],
-    sink: &mut impl FnMut(usize, PortCandidate),
-) {
-    for (s, ms) in moves.iter().enumerate() {
-        for &(port, link, next, is_up) in ms {
-            if !is_up {
-                continue;
-            }
-            for t in 0..n {
-                let d_here = dist_up[s * n + t];
-                let d_next = dist_up[next.idx() * n + t];
-                if d_here != UNREACHABLE && d_next != UNREACHABLE && d_next + 1 == d_here {
-                    sink(s * n + t, PortCandidate { port, link, next, next_phase: Phase::Up });
-                }
-            }
-        }
-    }
-}
-
-/// Exclusive prefix sums over per-cell counts, with the candidate slab
-/// preallocated (placeholder-filled; the placement pass overwrites every
-/// slot exactly once).
-fn csr_from_counts(counts: &[u32]) -> CandCsr {
-    let mut offsets = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0u32;
-    offsets.push(0);
-    for &c in counts {
-        acc += c;
-        offsets.push(acc);
-    }
-    let filler =
-        PortCandidate { port: PortIdx(0), link: LinkId(0), next: SwitchId(0), next_phase: Phase::Up };
-    CandCsr { offsets, cands: vec![filler; acc as usize] }
+    /// `moves[move_start[s]..move_start[s + 1]]`: the traversals out of
+    /// `s` in [`Topology::neighbors`] order. A link's two traversals have
+    /// opposite orientations, so the same list read backwards is the
+    /// reverse adjacency: the down moves out of `s` lead from the switches
+    /// with an up move into `s`, and vice versa.
+    move_start: Vec<u32>,
+    moves: Vec<Move>,
+    /// One column per destination switch `t`, built on first use: minimal
+    /// legal hops to `t` from every switch in `Phase::Up` (`[0, n)`), in
+    /// `Phase::Down` (`[n, 2n)`) and over up links only (`[2n, 3n)`);
+    /// [`UNREACHABLE`] if none.
+    columns: Vec<OnceLock<Box<[u16]>>>,
+    /// `(diameter, fully connected)`, from one sweep on first use.
+    sweep: OnceLock<(u16, bool)>,
 }
 
 impl RoutingTables {
@@ -170,7 +176,7 @@ impl RoutingTables {
     /// Compute tables over the **surviving** graph of a degrading
     /// network: dead links and links into dead switches contribute no
     /// moves, so dead components are unreachable and never appear as
-    /// next-hop candidates. Rows for dead switches are all-`UNREACHABLE`.
+    /// next-hop candidates. Dead switches reach nothing but themselves.
     pub fn compute_masked(
         topo: &Topology,
         updown: &UpDown,
@@ -185,137 +191,108 @@ impl RoutingTables {
         status: Option<&FaultStatus>,
     ) -> Result<Self, TopologyError> {
         let n = topo.num_switches();
-        let mut dist = [vec![UNREACHABLE; n * n], vec![UNREACHABLE; n * n]];
-
-        // Forward adjacency with phases, per switch. Masked computes drop
-        // every move across a dead link or into/out of a dead switch —
-        // this is the single point where faults enter the tables.
-        // moves[s] = Vec of (port, link, next, traversal_is_up)
-        let mut moves: Vec<Vec<(PortIdx, LinkId, SwitchId, bool)>> = Vec::with_capacity(n);
+        // Masked computes drop every move across a dead link or into/out
+        // of a dead switch — the single point where faults enter routing.
+        let mut move_start = Vec::with_capacity(n + 1);
+        let mut moves = Vec::new();
+        move_start.push(0);
         for si in 0..n {
             let s = SwitchId(si as u16);
-            if let Some(st) = status {
-                if !st.switch_up(s) {
-                    moves.push(Vec::new());
-                    continue;
-                }
-            }
-            let mut ms = Vec::new();
-            for (l, peer, port) in topo.neighbors(s) {
-                if let Some(st) = status {
-                    if !st.link_up(topo, l) {
-                        continue;
+            if status.is_none_or(|st| st.switch_up(s)) {
+                for (link, next, port) in topo.neighbors(s) {
+                    if status.is_none_or(|st| st.link_up(topo, link)) {
+                        let is_up = updown.is_up_traversal(topo, link, s)?;
+                        moves.push(Move { port, link, next, is_up });
                     }
                 }
-                ms.push((port, l, peer, updown.is_up_traversal(topo, l, s)?));
             }
-            moves.push(ms);
+            move_start.push(moves.len() as u32);
         }
+        Ok(RoutingTables {
+            num_switches: n,
+            move_start,
+            moves,
+            columns: (0..n).map(|_| OnceLock::new()).collect(),
+            sweep: OnceLock::new(),
+        })
+    }
 
-        // Reverse adjacency over states: rev[(s,phase)] lists (prev, prev_phase).
-        // Transition rules (forward):
-        //   (s, Up)  --up-->   (s', Up)
-        //   (s, Up)  --down--> (s', Down)
-        //   (s, Down)--down--> (s', Down)
-        // Backward BFS per destination t from states {(t, Up), (t, Down)}.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); 2 * n];
-        for (si, ms) in moves.iter().enumerate() {
-            for &(_, _, next, is_up) in ms {
-                let ni = next.idx();
-                if is_up {
-                    // (si, Up) -> (ni, Up)
-                    rev[ni].push(si); // Up plane: rev[ni in Up] gets si (Up)
-                } else {
-                    // (si, Up) -> (ni, Down) and (si, Down) -> (ni, Down)
-                    rev[n + ni].push(si); // encode below
-                }
-            }
-        }
-        // NOTE: rev[t] (Up plane) holds predecessors in Up phase via up links;
-        // rev[n+t] (Down plane) holds predecessors (in either phase) via down
-        // links — a down traversal into t can originate from (prev, Up) or
-        // (prev, Down).
+    #[inline]
+    fn moves_of(&self, s: usize) -> &[Move] {
+        &self.moves[self.move_start[s] as usize..self.move_start[s + 1] as usize]
+    }
 
-        let mut queue = std::collections::VecDeque::new();
-        for t in 0..n {
-            // Being AT t in either phase is distance 0.
-            queue.clear();
-            dist[0][t * n + t] = 0;
-            dist[1][t * n + t] = 0;
-            queue.push_back((t, Phase::Up));
-            queue.push_back((t, Phase::Down));
-            while let Some((s, ph)) = queue.pop_front() {
-                let d = dist[ph.idx()][s * n + t];
-                match ph {
-                    Phase::Up => {
-                        // Predecessors that reach (s, Up): (prev, Up) via an
-                        // up traversal prev->s.
-                        for &p in &rev[s] {
-                            let slot = &mut dist[0][p * n + t];
-                            if *slot == UNREACHABLE {
-                                *slot = d + 1;
-                                queue.push_back((p, Phase::Up));
-                            }
-                        }
+    /// Backward BFS from `t` over the state graph; state `s` is
+    /// `(s, Up)` and state `n + s` is `(s, Down)`, so `col[..2n]` is
+    /// indexed by state. Forward transitions:
+    ///   (s, Up)  --up-->   (s', Up)
+    ///   (s, Up)  --down--> (s', Down)
+    ///   (s, Down)--down--> (s', Down)
+    /// `col[..2n]` must be all-[`UNREACHABLE`] on entry.
+    fn two_phase_bfs(&self, t: usize, col: &mut [u16], queue: &mut Vec<usize>) {
+        let n = self.num_switches;
+        // Being AT t in either phase is distance 0.
+        col[t] = 0;
+        col[n + t] = 0;
+        queue.clear();
+        queue.extend([t, n + t]);
+        let mut head = 0;
+        while let Some(&state) = queue.get(head) {
+            head += 1;
+            let d = col[state];
+            let (s, down) = if state < n { (state, false) } else { (state - n, true) };
+            for m in self.moves_of(s) {
+                let p = m.next.idx();
+                if !down && !m.is_up {
+                    // p -> s is an up traversal: (p, Up) reaches (s, Up).
+                    if col[p] == UNREACHABLE {
+                        col[p] = d + 1;
+                        queue.push(p);
                     }
-                    Phase::Down => {
-                        // Predecessors that reach (s, Down): any prev with a
-                        // down traversal prev->s, in either phase.
-                        for &p in &rev[n + s] {
-                            for ph_prev in [Phase::Up, Phase::Down] {
-                                let slot = &mut dist[ph_prev.idx()][p * n + t];
-                                if *slot == UNREACHABLE {
-                                    *slot = d + 1;
-                                    queue.push_back((p, ph_prev));
-                                }
-                            }
+                } else if down && m.is_up {
+                    // p -> s is a down traversal, legal in either phase.
+                    for prev in [p, n + p] {
+                        if col[prev] == UNREACHABLE {
+                            col[prev] = d + 1;
+                            queue.push(prev);
                         }
                     }
                 }
             }
         }
+    }
 
-        // Next-hop candidate sets, built in CSR form with two identical
-        // passes (count, then place) so the per-cell candidate order is
-        // exactly the order per-cell Vec pushes used to produce.
-        let mut counts = [vec![0u32; n * n], vec![0u32; n * n]];
-        for_each_main_candidate(n, &moves, &dist, &mut |ph, cell, _| counts[ph][cell] += 1);
-        let mut hops = [csr_from_counts(&counts[0]), csr_from_counts(&counts[1])];
-        let mut cursor = [hops[0].offsets.clone(), hops[1].offsets.clone()];
-        for_each_main_candidate(n, &moves, &dist, &mut |ph, cell, cand| {
-            hops[ph].cands[cursor[ph][cell] as usize] = cand;
-            cursor[ph][cell] += 1;
-        });
-
-        // Up-only plane: backward BFS per destination over up edges.
-        let mut dist_up = vec![UNREACHABLE; n * n];
-        for t in 0..n {
-            dist_up[t * n + t] = 0;
-            queue.clear();
-            queue.push_back((t, Phase::Up));
-            while let Some((s, _)) = queue.pop_front() {
-                let d = dist_up[s * n + t];
-                // Predecessors with an up traversal prev -> s.
-                for &p in &rev[s] {
-                    let slot = &mut dist_up[p * n + t];
-                    if *slot == UNREACHABLE {
-                        *slot = d + 1;
-                        queue.push_back((p, Phase::Up));
-                    }
+    /// Backward BFS from `t` over up traversals only, into `up` (all-
+    /// [`UNREACHABLE`] on entry).
+    fn up_only_bfs(&self, t: usize, up: &mut [u16], queue: &mut Vec<usize>) {
+        up[t] = 0;
+        queue.clear();
+        queue.push(t);
+        let mut head = 0;
+        while let Some(&s) = queue.get(head) {
+            head += 1;
+            let d = up[s];
+            for m in self.moves_of(s).iter().filter(|m| !m.is_up) {
+                let p = m.next.idx();
+                if up[p] == UNREACHABLE {
+                    up[p] = d + 1;
+                    queue.push(p);
                 }
             }
         }
-        let mut counts_up = vec![0u32; n * n];
-        for_each_up_candidate(n, &moves, &dist_up, &mut |cell, _| counts_up[cell] += 1);
-        let mut hops_up = csr_from_counts(&counts_up);
-        let mut cursor_up = hops_up.offsets.clone();
-        for_each_up_candidate(n, &moves, &dist_up, &mut |cell, cand| {
-            hops_up.cands[cursor_up[cell] as usize] = cand;
-            cursor_up[cell] += 1;
-        });
+    }
 
-        let diameter = dist[0].iter().copied().filter(|&d| d != UNREACHABLE).max().unwrap_or(0);
-        Ok(RoutingTables { num_switches: n, dist, hops, dist_up, hops_up, diameter })
+    /// The distance column toward `t`, computed on first use.
+    #[inline]
+    fn column(&self, t: SwitchId) -> &[u16] {
+        self.columns[t.idx()].get_or_init(|| {
+            let n = self.num_switches;
+            let mut col = vec![UNREACHABLE; 3 * n].into_boxed_slice();
+            let mut queue = Vec::with_capacity(2 * n);
+            self.two_phase_bfs(t.idx(), &mut col, &mut queue);
+            self.up_only_bfs(t.idx(), &mut col[2 * n..], &mut queue);
+            col
+        })
     }
 
     /// Minimal hop count from `s` to `t` using only up links, or
@@ -324,35 +301,72 @@ impl RoutingTables {
     /// visits `t` during the up* prefix.
     #[inline]
     pub fn up_only_distance(&self, s: SwitchId, t: SwitchId) -> u16 {
-        self.dist_up[s.idx() * self.num_switches + t.idx()]
+        self.column(t)[2 * self.num_switches + s.idx()]
     }
 
     /// Minimal next hops of the up-only plane (all arrive in `Phase::Up`).
-    #[inline]
-    pub fn up_only_next_hops(&self, s: SwitchId, t: SwitchId) -> &[PortCandidate] {
-        self.hops_up.row(s.idx() * self.num_switches + t.idx())
+    pub fn up_only_next_hops(&self, s: SwitchId, t: SwitchId) -> NextHops {
+        let up = &self.column(t)[2 * self.num_switches..];
+        let d = up[s.idx()];
+        let moves = if d == 0 || d == UNREACHABLE { &[][..] } else { self.moves_of(s.idx()) };
+        NextHops::collect(moves, |m| (m.is_up && up[m.next.idx()] == d - 1).then_some(Phase::Up))
     }
 
     /// Minimal legal hop count from switch `s` (in `phase`) to switch `t`,
     /// or [`UNREACHABLE`].
     #[inline]
     pub fn distance(&self, s: SwitchId, phase: Phase, t: SwitchId) -> u16 {
-        self.dist[phase.idx()][s.idx() * self.num_switches + t.idx()]
+        self.column(t)[phase.idx() * self.num_switches + s.idx()]
     }
 
-    /// All minimal legal next hops from `s` (in `phase`) toward `t`.
-    /// Empty iff `s == t` or `t` is unreachable in this phase.
-    #[inline]
-    pub fn next_hops(&self, s: SwitchId, phase: Phase, t: SwitchId) -> &[PortCandidate] {
-        self.hops[phase.idx()].row(s.idx() * self.num_switches + t.idx())
+    /// All minimal legal next hops from `s` (in `phase`) toward `t`, in
+    /// port order. Empty iff `s == t` or `t` is unreachable in this phase.
+    pub fn next_hops(&self, s: SwitchId, phase: Phase, t: SwitchId) -> NextHops {
+        let n = self.num_switches;
+        let col = self.column(t);
+        let d = col[phase.idx() * n + s.idx()];
+        let moves = if d == 0 || d == UNREACHABLE { &[][..] } else { self.moves_of(s.idx()) };
+        NextHops::collect(moves, |m| {
+            // From Down only down traversals are legal.
+            let next_phase = match (m.is_up, phase) {
+                (true, Phase::Down) => return None,
+                (true, Phase::Up) => Phase::Up,
+                (false, _) => Phase::Down,
+            };
+            (col[next_phase.idx() * n + m.next.idx()] == d - 1).then_some(next_phase)
+        })
+    }
+
+    /// One BFS per destination into a single scratch column, keeping
+    /// only the longest finite `Phase::Up` distance and whether any pair
+    /// is unreachable.
+    fn sweep(&self) -> (u16, bool) {
+        *self.sweep.get_or_init(|| {
+            let n = self.num_switches;
+            let mut scratch = vec![UNREACHABLE; 2 * n];
+            let mut queue = Vec::with_capacity(2 * n);
+            let (mut diameter, mut connected) = (0, true);
+            for t in 0..n {
+                scratch.fill(UNREACHABLE);
+                self.two_phase_bfs(t, &mut scratch, &mut queue);
+                for &d in &scratch[..n] {
+                    if d == UNREACHABLE {
+                        connected = false;
+                    } else {
+                        diameter = diameter.max(d);
+                    }
+                }
+            }
+            (diameter, connected)
+        })
     }
 
     /// The up*/down* diameter: the longest minimal legal route (starting
     /// in `Phase::Up`) over all pairs of mutually reachable switches.
-    /// Computed once with the tables.
-    #[inline]
+    /// Computed on the first call by one BFS per destination, none of
+    /// which is kept.
     pub fn diameter(&self) -> u16 {
-        self.diameter
+        self.sweep().0
     }
 
     /// Number of switches the tables were built for.
@@ -363,10 +377,20 @@ impl RoutingTables {
 
     /// True if every switch can reach every other switch starting in the
     /// Up phase — guaranteed for any connected up*/down* network (via the
-    /// root), asserted in tests.
+    /// root), asserted in tests. Shares the sweep behind [`Self::diameter`].
     pub fn fully_connected(&self) -> bool {
-        let n = self.num_switches;
-        (0..n).all(|s| (0..n).all(|t| self.dist[0][s * n + t] != UNREACHABLE))
+        self.sweep().1
+    }
+
+    /// Heap bytes held: the moves, one column slot per destination, and
+    /// every distance column built so far (`3 · n` entries each).
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let built = self.columns.iter().filter(|c| c.get().is_some()).count();
+        self.move_start.len() * size_of::<u32>()
+            + self.moves.len() * size_of::<Move>()
+            + self.columns.len() * size_of::<OnceLock<Box<[u16]>>>()
+            + built * 3 * self.num_switches * size_of::<u16>()
     }
 }
 
@@ -500,6 +524,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn switches_with_more_than_32_moves_list_every_hop_in_port_order() {
+        // 40 parallel links: from the leaf, every one is a minimal hop.
+        let mut b = TopologyBuilder::new();
+        let s0 = b.add_switch(48);
+        let s1 = b.add_switch(48);
+        for _ in 0..40 {
+            b.add_link(s0, s1).unwrap();
+        }
+        b.add_host(s0).unwrap();
+        b.add_host(s1).unwrap();
+        let t = b.build().unwrap();
+        let rt = RoutingTables::compute(&t, &UpDown::compute(&t, s0).unwrap()).unwrap();
+        for hops in [rt.next_hops(s1, Phase::Up, s0), rt.up_only_next_hops(s1, s0)] {
+            assert_eq!(hops.len(), 40);
+            assert!(hops.windows(2).all(|w| w[0].port < w[1].port));
+            assert_eq!(hops.clone().into_iter().collect::<Vec<_>>(), hops.to_vec());
+        }
+        assert_eq!(rt.next_hops(s0, Phase::Down, s1).len(), 40);
+        let narrow = rt.next_hops(s0, Phase::Up, s0);
+        assert!(narrow.is_empty() && narrow.into_iter().next().is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The per-network inputs of multicast planning — the locality ranks and
-//! the up*/down* diameter — are computed once, with the orientation and
-//! the routing tables. They must equal a fresh computation over
-//! the finished network, after `Network::analyze` and after every
-//! `Network::degrade`.
+//! the up*/down* diameter — are computed once per network, on first use,
+//! and kept with the orientation and the routing tables. They must equal
+//! a fresh computation over the finished network, after
+//! `Network::analyze` and after every `Network::degrade`.
 
 use irrnet_topology::routing::{Phase, UNREACHABLE};
 use irrnet_topology::{

@@ -70,7 +70,7 @@ fn mask_algebra_agrees_with_oracle() {
         assert_eq!(a.covers(&b), (0..n).all(|i| !ob[i] || oa[i]), "n={n}");
         assert_eq!(a.intersects(&b), (0..n).any(|i| oa[i] && ob[i]), "n={n}");
         assert!(a.union(&b).covers(&a) && a.union(&b).covers(&b));
-        assert!(a.covers(&a.intersection(&b)));
+        assert!(a.covers(a.intersection(&b)));
     }
 }
 
@@ -84,8 +84,8 @@ fn reachset_roundtrips_against_oracle() {
             assert_eq!(rs.to_mask(), mask, "n={n} d={density}");
             assert_eq!(rs.len(), mask.len());
             assert_eq!(rs.is_empty(), mask.is_empty());
-            for probe in 0..n {
-                assert_eq!(rs.contains(NodeId(probe as u16)), oracle[probe]);
+            for (probe, &want) in oracle.iter().enumerate() {
+                assert_eq!(rs.contains(NodeId(probe as u16)), want);
             }
             // covers / intersect against random query sets.
             for qd in [5, 60] {

@@ -3,9 +3,12 @@
 # regression-gate the output against the committed goldens in
 # results/golden/. Exits non-zero if any experiment or gate fails.
 #
+# The quick campaign writes to the gitignored results-quick/; only the
+# full campaign writes the committed full-mode CSVs in results/.
+#
 # Pass-through args go to the campaign run, e.g.:
-#   ./run_figs.sh                 # quick campaign + compare
-#   IRRNET_FULL=1 ./run_figs.sh   # full paper-scale campaign + compare
+#   ./run_figs.sh                 # quick campaign into results-quick/ + compare
+#   IRRNET_FULL=1 ./run_figs.sh   # full paper-scale campaign into results/ + compare
 #   ./run_figs.sh bench           # perf gate vs committed BENCH_sim.json
 #   ./run_figs.sh bench --exact   # exact cycles_run/sweeps_run gate
 #   ./run_figs.sh shard [N]       # quick campaign as N workers + merge + compare
@@ -115,8 +118,11 @@ fi
 
 if [ "${IRRNET_FULL:-0}" = "1" ]; then
   "$RUN" --all "$@"
+  "$RUN" compare
 else
-  "$RUN" --all --quick "$@"
+  OUT=results-quick
+  rm -rf "$OUT"
+  "$RUN" --all --quick --out "$OUT" "$@"
+  "$RUN" compare --out "$OUT" --golden results/golden
 fi
-"$RUN" compare
 echo ALLDONE
