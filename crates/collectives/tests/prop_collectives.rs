@@ -2,9 +2,8 @@
 //! sets, roots, fan-outs, schemes and payload sizes, with the expected
 //! message census.
 //!
-//! Deterministic port of the original proptest suite (now in
-//! `extdeps/tests/`): cases are drawn from the workspace PRNG with a
-//! fixed master seed, so the run is offline and replays identically.
+//! Cases are drawn from the workspace PRNG with a fixed master seed, so
+//! the run is offline and replays identically.
 
 use irrnet_collectives::{run_collective, CollectiveOp};
 use irrnet_core::rng::SmallRng;

@@ -4,9 +4,8 @@
 //! timing pipeline. Plus: every worm any path plan emits satisfies the
 //! legality invariant the simulator depends on.
 //!
-//! Deterministic port of the original proptest suite (now in
-//! `extdeps/tests/`): cases are drawn from the workspace PRNG with fixed
-//! master seeds, so the run is offline and replays identically.
+//! Cases are drawn from the workspace PRNG with fixed master seeds, so
+//! the run is offline and replays identically.
 
 use irrnet_core::rng::SmallRng;
 use irrnet_core::{plan_multicast, LatencyModel, Scheme, SchemeProtocol};

@@ -18,15 +18,12 @@
 //! irrnet-run --list                   # show the registry
 //! irrnet-run schemes                  # show the scheme registry
 //! irrnet-run compare [--out DIR] [--golden DIR] [--tol F]
-//! irrnet-run bench [--out FILE] [--check FILE] [--exact] [--baseline-from FILE] [--iters N]
-//!            [--workloads a,b] [--smoke] [--max-rss-kb N]
 //! ```
 //!
 //! Exit codes: 0 = campaign completed cleanly, 1 = completed with failed
 //! units (see the manifest's `"failures"`), 130 = interrupted (resume
 //! with `irrnet-run resume DIR`, or re-run the same `work` command).
 
-use irrnet_harness::bench::{run_bench, BenchOptions};
 use irrnet_harness::compare::run_compare;
 use irrnet_harness::opts::CampaignOptions;
 use irrnet_harness::registry::{registry, resolve};
@@ -55,8 +52,6 @@ fn usage() -> ! {
          \x20      irrnet-run --list\n\
          \x20      irrnet-run schemes\n\
          \x20      irrnet-run compare [--out DIR] [--golden DIR] [--tol F]\n\
-         \x20      irrnet-run bench [--out FILE] [--check FILE] [--exact] [--baseline-from FILE] [--iters N]\n\
-         \x20                 [--workloads a,b] [--smoke] [--max-rss-kb N]\n\
          experiments: {}",
         registry().iter().map(|s| s.name).collect::<Vec<_>>().join(", ")
     );
@@ -260,7 +255,6 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("compare") => return main_compare(argv[1..].to_vec()),
-        Some("bench") => return main_bench(argv[1..].to_vec()),
         Some("schemes") => return main_schemes(argv[1..].to_vec()),
         Some("resume") => return main_resume(argv[1..].to_vec()),
         Some("work") => return main_work(argv.clone(), argv[1..].to_vec()),
@@ -544,57 +538,4 @@ fn main_schemes(argv: Vec<String>) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
-}
-
-fn main_bench(argv: Vec<String>) -> ExitCode {
-    let mut opts = BenchOptions { out: Some("BENCH_sim.json".into()), ..BenchOptions::default() };
-    let mut args = argv.into_iter().peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => opts.out = Some(parse_value::<String>(&mut args, "--out").into()),
-            "--no-out" => opts.out = None,
-            // The report path is optional: a bare `--check` gates against
-            // the committed default.
-            "--check" => {
-                opts.check = Some(match args.peek() {
-                    Some(v) if !v.starts_with("--") => args.next().unwrap().into(),
-                    _ => "BENCH_sim.json".into(),
-                });
-            }
-            "--baseline-from" => {
-                opts.baseline_from =
-                    Some(parse_value::<String>(&mut args, "--baseline-from").into());
-            }
-            // Gate on exact cycles_run/sweeps_run equality with the
-            // --check report instead of the 20% cycles/sec tolerance.
-            "--exact" => opts.exact = true,
-            "--iters" => opts.iters = parse_value(&mut args, "--iters"),
-            "--workloads" => {
-                let list: String = parse_value(&mut args, "--workloads");
-                opts.only = Some(
-                    list.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect(),
-                );
-            }
-            // Reduced-budget huge workload (renamed huge-smoke so report
-            // gates skip it) — the CI memory-ceiling leg.
-            "--smoke" => opts.smoke = true,
-            "--max-rss-kb" => opts.max_rss_kb = Some(parse_value(&mut args, "--max-rss-kb")),
-            "--help" | "-h" => usage(),
-            s => {
-                eprintln!("error: unknown bench argument '{s}'");
-                usage();
-            }
-        }
-    }
-    match run_bench(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

@@ -1,10 +1,7 @@
 //! One module per registered experiment; each exposes
-//! `units(&CampaignOptions) -> Vec<Unit>`.
-//!
-//! These are ports of the original 17 ad-hoc `irrnet-bench` binaries
-//! onto the unit registry: same figures, same CSV artifact names, same
-//! grids — but networks come from the campaign's shared topology cache
-//! and the work is scheduled on the cross-experiment pool.
+//! `units(&CampaignOptions) -> Vec<Unit>`. Networks come from the
+//! campaign's shared topology cache and the work is scheduled on the
+//! cross-experiment pool; run one with `irrnet-run <exp-id>`.
 
 pub mod abl_adaptivity;
 pub mod abl_hybrid;

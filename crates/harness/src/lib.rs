@@ -1,7 +1,7 @@
 //! Experiment orchestration for the ICPP '98 reproduction.
 //!
-//! This crate replaces 17 ad-hoc per-figure binaries with a data-driven
-//! registry executed by one `irrnet-run` binary:
+//! Every figure, table, extension and ablation is an entry in a
+//! data-driven registry executed by one `irrnet-run` binary:
 //!
 //! * [`registry`] — every figure / table / extension / ablation as an
 //!   [`ExperimentSpec`](registry::ExperimentSpec) that expands into
@@ -33,7 +33,6 @@
 //!   accumulators).
 //! * [`error`] — the typed per-unit error surfaced in the manifest's
 //!   `"failures"` array instead of killing the campaign.
-//! * [`shim`] — the legacy binaries' compatibility entry points.
 //!
 //! ```no_run
 //! use irrnet_harness::{opts::CampaignOptions, registry, runner};
@@ -44,7 +43,6 @@
 //! assert!(report.failures.is_empty());
 //! ```
 
-pub mod bench;
 pub mod cache;
 pub mod compare;
 pub mod error;
@@ -59,6 +57,5 @@ pub mod registry;
 pub mod runner;
 pub mod schemes;
 pub mod shard;
-pub mod shim;
 pub mod stats;
 pub mod status;

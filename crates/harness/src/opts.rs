@@ -96,23 +96,6 @@ impl CampaignOptions {
         }
     }
 
-    /// Resolve the deprecated `IRRNET_*` environment knobs (used by the
-    /// legacy per-figure binary shims; `irrnet-run` takes flags instead).
-    pub fn from_env() -> Self {
-        let quick = std::env::var("IRRNET_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut o = if quick { Self::quick() } else { Self::paper_default() };
-        if let Some(n) = std::env::var("IRRNET_SEEDS").ok().and_then(|v| v.parse().ok()) {
-            o.seeds = (0..n).collect();
-        }
-        if let Some(t) = std::env::var("IRRNET_TRIALS").ok().and_then(|v| v.parse().ok()) {
-            o.trials = t;
-        }
-        if let Ok(dir) = std::env::var("IRRNET_OUT") {
-            o.out_dir = dir.into();
-        }
-        o
-    }
-
     /// Destination counts for the single-multicast figures' x-axis.
     pub fn degrees(&self) -> Vec<usize> {
         if self.quick {

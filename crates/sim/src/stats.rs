@@ -259,7 +259,8 @@ pub struct SimStats {
     /// jumped over by the discrete-event scheduler. Deterministic for a
     /// given workload and identical across execution modes (full scan
     /// vs. event-driven), which is what makes it an exact regression
-    /// oracle for the bench gate.
+    /// oracle: `tests/engine_pins.rs` and `tests/huge_fabric.rs` pin it,
+    /// with `sweeps_run`, on five fixed workloads.
     pub cycles_run: u64,
     /// Sweeps the engine actually **executed** — the work metric. The
     /// stepping loop has `sweeps_run == cycles_run` while anything is in

@@ -2,11 +2,10 @@
 //! configuration yields a valid, connected, deadlock-free-routable
 //! network with consistent reachability strings.
 //!
-//! Deterministic port of the original proptest suite (which now lives in
-//! `extdeps/tests/`): cases come from the workspace's own PRNG with a
-//! fixed master seed, so the run needs no external crates and replays
-//! identically everywhere. Historical shrunk failures are pinned
-//! explicitly in [`regression_cases`].
+//! Cases come from the workspace's own PRNG with a fixed master seed, so
+//! the run needs no external crates and replays identically everywhere.
+//! Historical shrunk failures are pinned explicitly in
+//! [`regression_cases`].
 
 use irrnet_topology::rng::SmallRng;
 use irrnet_topology::{

@@ -86,7 +86,8 @@ pub struct FaultResult {
     pub duplicate_deliveries: u64,
     /// Stuck worms sacrificed by the watchdog's recovery mode.
     pub watchdog_recoveries: u64,
-    /// Cycles the engine actually iterated.
+    /// Simulated cycles, event jumps included
+    /// ([`irrnet_sim::SimStats::cycles_run`]).
     pub cycles_run: u64,
 }
 

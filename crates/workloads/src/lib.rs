@@ -2,8 +2,8 @@
 //! latency studies (§4.2), multicast load/saturation studies (§4.3),
 //! parallel parameter sweeps, and figure-shaped reporting.
 //!
-//! The per-figure binaries in `irrnet-bench` are thin wrappers over this
-//! crate; using it directly looks like:
+//! The `irrnet-run` experiments (crate `irrnet-harness`) are built on
+//! this crate; using it directly looks like:
 //!
 //! ```
 //! use irrnet_core::Scheme;

@@ -85,9 +85,11 @@ pub struct LoadResult {
     /// Distribution of the measured latencies (mean/σ/percentiles), when
     /// any multicast completed.
     pub latency: Option<crate::stats::Summary>,
-    /// Cycles the engine actually iterated (event jumps excluded) — the
-    /// work metric reported by `irrnet-run bench`.
+    /// Simulated cycles, event jumps included
+    /// ([`irrnet_sim::SimStats::cycles_run`]).
     pub cycles_run: u64,
+    /// Sweeps the engine executed ([`irrnet_sim::SimStats::sweeps_run`]).
+    pub sweeps_run: u64,
 }
 
 /// Run one open-loop multicast load experiment.
@@ -174,6 +176,7 @@ pub fn run_load(
         saturated,
         latency,
         cycles_run: stats.cycles_run,
+        sweeps_run: stats.sweeps_run,
     })
 }
 

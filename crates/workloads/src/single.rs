@@ -18,9 +18,11 @@ pub struct SingleResult {
     pub latency: u64,
     /// Structural plan facts (worms, phases, k).
     pub meta: PlanMeta,
-    /// Cycles the engine actually iterated (event jumps excluded) — the
-    /// work metric reported by `irrnet-run bench`.
+    /// Simulated cycles, event jumps included
+    /// ([`irrnet_sim::SimStats::cycles_run`]).
     pub cycles_run: u64,
+    /// Sweeps the engine executed ([`irrnet_sim::SimStats::sweeps_run`]).
+    pub sweeps_run: u64,
 }
 
 /// Run one multicast on an idle network and return its latency.
@@ -43,7 +45,12 @@ pub fn run_single(
     let latency = stats
         .latency_of(McastId(0))
         .expect("run_to_completion guarantees completion");
-    Ok(SingleResult { latency, meta, cycles_run: stats.cycles_run })
+    Ok(SingleResult {
+        latency,
+        meta,
+        cycles_run: stats.cycles_run,
+        sweeps_run: stats.sweeps_run,
+    })
 }
 
 /// Draw a random (source, destination set) pair of the given degree.

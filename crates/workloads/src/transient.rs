@@ -107,7 +107,8 @@ pub struct TransientResult {
     pub worms_killed: u64,
     /// Useful transmissions over all transmissions (1.0 = no damage).
     pub goodput: f64,
-    /// Cycles the engine actually iterated.
+    /// Simulated cycles, event jumps included
+    /// ([`irrnet_sim::SimStats::cycles_run`]).
     pub cycles_run: u64,
 }
 

@@ -5,7 +5,7 @@
 //! invalidation multicasts arrive continuously.
 //!
 //! Run with: `cargo run --release --example saturation_study`
-//! (add `IRRNET_QUICK=1` style brevity by editing LOADS below).
+//! (shorten it by editing LOADS below).
 
 use irrnet::prelude::*;
 

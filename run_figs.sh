@@ -9,8 +9,6 @@
 # Pass-through args go to the campaign run, e.g.:
 #   ./run_figs.sh                 # quick campaign into results-quick/ + compare
 #   IRRNET_FULL=1 ./run_figs.sh   # full paper-scale campaign into results/ + compare
-#   ./run_figs.sh bench           # perf gate vs committed BENCH_sim.json
-#   ./run_figs.sh bench --exact   # exact cycles_run/sweeps_run gate
 #   ./run_figs.sh shard [N]       # quick campaign as N workers + merge + compare
 #   ./run_figs.sh chaos           # damage/heal gauntlet: torn tails, stale
 #                                 # leases, corruption, reshard — then compare
@@ -19,15 +17,6 @@ cd "$(dirname "$0")"
 
 cargo build --release -p irrnet-harness
 RUN=target/release/irrnet-run
-
-# Perf-regression mode: re-measure the bench matrix and fail if any
-# workload's cycles/sec drops more than 20% below the committed report.
-if [ "${1:-}" = "bench" ]; then
-  shift
-  # --no-out: measure only; never clobber the committed baseline report
-  # that --check gates against.
-  exec "$RUN" bench --no-out --check BENCH_sim.json "$@"
-fi
 
 # Distributed mode: run the quick campaign as N concurrent shard workers
 # into one directory, merge, and gate the merged artifacts against the

@@ -3,9 +3,8 @@
 //! the message to every destination exactly once — the fundamental
 //! multicast correctness invariant — and the flit accounting balances.
 //!
-//! Deterministic port of the original proptest suite (now in
-//! `extdeps/tests/`): cases are drawn from the workspace PRNG with a
-//! fixed master seed, so the run is offline and replays identically.
+//! Cases are drawn from the workspace PRNG with a fixed master seed, so
+//! the run is offline and replays identically.
 
 use irrnet::prelude::*;
 use irrnet::topology::rng::SmallRng;
