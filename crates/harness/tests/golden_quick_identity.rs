@@ -1,11 +1,12 @@
 //! Byte-level determinism gate for engine refactors.
 //!
-//! `results/golden-quick/` holds quick-campaign series captured from the
-//! engine *before* the hot-path overhaul (verified byte-identical across
-//! the rework). Any change that moves a single simulated cycle — a
-//! reordered arbitration, a shifted event sequence — changes these bytes,
-//! so this test fails loudly where the tolerance-based `irrnet-run
-//! compare` gate would only warn.
+//! `results/golden-quick/` holds every CSV of the quick campaign
+//! (`irrnet-run --all --quick`); CI byte-compares the whole campaign
+//! against it. This test reruns the three experiments below in debug
+//! mode and byte-compares the files they write. Any change that moves a
+//! single simulated cycle — a reordered arbitration, a shifted event
+//! sequence — changes these bytes, so this test fails loudly where the
+//! tolerance-based `irrnet-run compare` gate would only warn.
 
 use irrnet_harness::opts::CampaignOptions;
 use irrnet_harness::registry::resolve;
@@ -31,11 +32,15 @@ fn quick_series_are_byte_identical_to_pinned_goldens() {
     let specs = resolve(&SPECS.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap();
     run_campaign(&specs, &opts).unwrap();
 
+    // Every golden CSV these experiments own (`<experiment>_*.csv`) must
+    // be written and match byte for byte.
     let mut checked = 0;
     for entry in std::fs::read_dir(golden_dir()).unwrap() {
-        let entry = entry.unwrap();
-        let name = entry.file_name().into_string().unwrap();
-        let golden = std::fs::read_to_string(entry.path()).unwrap();
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if !SPECS.iter().any(|s| name.starts_with(&format!("{s}_"))) {
+            continue;
+        }
+        let golden = std::fs::read_to_string(golden_dir().join(&name)).unwrap();
         let fresh = std::fs::read_to_string(out.join(&name))
             .unwrap_or_else(|e| panic!("campaign did not emit {name}: {e}"));
         assert_eq!(
