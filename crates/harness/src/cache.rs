@@ -92,8 +92,7 @@ impl TopoCache {
             .clone()
     }
 
-    /// The analyzed networks for `base` across a batch of seeds (the
-    /// cached analogue of `irrnet_workloads::build_networks`).
+    /// The analyzed networks for `base` across a batch of seeds.
     pub fn networks(
         &self,
         base: &RandomTopologyConfig,

@@ -17,7 +17,7 @@ use irrnet_collectives::CollectiveError;
 use irrnet_core::PlanError;
 use irrnet_sim::SimError;
 use irrnet_topology::TopologyError;
-use irrnet_workloads::IsolationError;
+use irrnet_workloads::{IsolationError, WorkloadError};
 use std::fmt;
 use std::time::Duration;
 
@@ -94,6 +94,16 @@ impl From<TopologyError> for UnitError {
 impl From<PlanError> for UnitError {
     fn from(e: PlanError) -> Self {
         UnitError::Plan(e)
+    }
+}
+
+impl From<WorkloadError> for UnitError {
+    fn from(e: WorkloadError) -> Self {
+        match e {
+            WorkloadError::Plan(e) => UnitError::Plan(e),
+            WorkloadError::Sim(e) => UnitError::Sim(e),
+            WorkloadError::Input(_) => UnitError::Msg(e.to_string()),
+        }
     }
 }
 

@@ -13,12 +13,13 @@ use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
-use irrnet_workloads::{run_faulted, FaultConfig};
+use irrnet_workloads::{run_periodic, PeriodicConfig};
 use std::fmt::Write as _;
 
 pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
     vec![Unit::new("ext_f:faults", |ctx: &RunCtx| {
-        let sim = SimConfig::paper_default();
+        // The watchdog may sacrifice up to 8 stuck worms per run.
+        let sim = SimConfig { watchdog_recovery_limit: 8, ..SimConfig::paper_default() };
         let net = ctx.cache.network(&RandomTopologyConfig::paper_default(0))?;
         // Same grid in quick and full mode: each run is one deterministic
         // degradation story, not a seed-batch average.
@@ -38,9 +39,9 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             "ubinomial", "ni-fpfs", "tree", "path-g", "path-lg", "path-lg+ni",
         ]);
         for &k in kills {
-            let fc = FaultConfig::paper_default(k);
+            let pc = PeriodicConfig::faulted(k);
             for &scheme in &schemes {
-                let r = run_faulted(&net, &sim, scheme, &fc)?;
+                let r = run_periodic(&net, &sim, scheme, &pc)?;
                 let lat = r
                     .mean_latency
                     .map(|l| format!("{l:.0}"))
@@ -53,10 +54,10 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                     if lat.is_empty() { "-" } else { &lat },
                     r.completed,
                     r.launched,
-                    r.flits_dropped,
-                    r.worms_killed,
-                    r.retransmissions,
-                    r.watchdog_recoveries,
+                    r.net.flits_dropped,
+                    r.net.worms_killed,
+                    r.net.retransmissions,
+                    r.net.watchdog_recoveries,
                 );
                 let _ = writeln!(
                     csv,
@@ -65,11 +66,11 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                     r.delivery_ratio,
                     r.completed,
                     r.launched,
-                    r.flits_dropped,
-                    r.worms_killed,
-                    r.retransmissions,
-                    r.duplicate_deliveries,
-                    r.watchdog_recoveries,
+                    r.net.flits_dropped,
+                    r.net.worms_killed,
+                    r.net.retransmissions,
+                    r.net.duplicate_deliveries,
+                    r.net.watchdog_recoveries,
                 );
             }
             table.push('\n');

@@ -17,12 +17,11 @@
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::rng::SmallRng;
-use irrnet_core::{try_plan_multicast, Scheme, SchemeProtocol};
-use irrnet_sim::{McastId, SimConfig, Simulator};
+use irrnet_core::Scheme;
+use irrnet_sim::SimConfig;
 use irrnet_topology::{ExtraLinks, RandomTopologyConfig};
-use irrnet_workloads::random_mcast;
+use irrnet_workloads::{random_mcast, run_single};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Multicasts replayed per scale (fixed across quick/full so shared grid
@@ -87,21 +86,9 @@ pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
             let t0 = Instant::now();
             for _ in 0..TRIALS {
                 let (source, dests) = random_mcast(&mut rng, n, DEGREE);
-                let plan = try_plan_multicast(
-                    &net,
-                    &cfg,
-                    Scheme::TreeWorm,
-                    source,
-                    dests.clone(),
-                    MESSAGE_FLITS,
-                )?;
-                let mut proto = SchemeProtocol::new();
-                proto.add(McastId(0), Arc::new(plan));
-                let mut sim = Simulator::new(&net, cfg.clone(), proto)?;
-                sim.schedule_multicast(0, McastId(0), dests, MESSAGE_FLITS);
-                sim.run_to_completion(500_000_000)?;
-                cycles += sim.stats().cycles_run;
-                sweeps += sim.stats().sweeps_run;
+                let r = run_single(&net, &cfg, Scheme::TreeWorm, source, dests, MESSAGE_FLITS)?;
+                cycles += r.cycles_run;
+                sweeps += r.sweeps_run;
             }
             let wall = t0.elapsed().as_secs_f64();
             let _ = writeln!(

@@ -15,7 +15,7 @@ use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::rng::fnv1a;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
-use irrnet_workloads::{run_transient, TransientConfig};
+use irrnet_workloads::{run_periodic, PeriodicConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -29,7 +29,8 @@ const MECHANISMS: &[(&str, bool, bool)] = &[
 
 pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
     vec![Unit::new("ext_i:reliability", |ctx: &RunCtx| {
-        let sim = SimConfig::paper_default();
+        // The watchdog may sacrifice up to 8 stuck worms per run.
+        let sim = SimConfig { watchdog_recovery_limit: 8, ..SimConfig::paper_default() };
         let net = ctx.cache.network(&RandomTopologyConfig::paper_default(0))?;
         // Same grid in quick and full mode: each point is one
         // deterministic run, not a seed-batch average. Rates are per-flit
@@ -55,9 +56,9 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
         let mut baseline: HashMap<&str, f64> = HashMap::new();
         for &rate in rates {
             for &(mech, link_retry, retx) in MECHANISMS {
-                let tc = TransientConfig::paper_default(rate, link_retry, retx);
+                let pc = PeriodicConfig::transient(rate, link_retry, retx);
                 for &scheme in &schemes {
-                    let r = run_transient(&net, &sim, scheme, &tc)?;
+                    let r = run_periodic(&net, &sim, scheme, &pc)?;
                     if rate == 0 && mech == "none" {
                         if let Some(l) = r.mean_latency {
                             baseline.insert(scheme.name(), l);
@@ -68,7 +69,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                         (Some(l), Some(&b)) if b > 0.0 => format!("{:.4}", l / b),
                         _ => String::new(),
                     };
-                    let damaged = r.flits_corrupted + r.flits_dropped_transient;
+                    let damaged = r.net.flits_corrupted + r.net.flits_dropped_transient;
                     let _ = writeln!(
                         table,
                         "{rate:>10} {mech:>6} {:>12} {:>9.3} {:>8} {damaged:>7} {:>8} {:>7} \
@@ -76,10 +77,10 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                         scheme.name(),
                         r.delivery_ratio,
                         if overhead.is_empty() { "-" } else { &overhead },
-                        r.link_retries,
-                        r.retry_exhaustions,
-                        r.e2e_recoveries,
-                        r.retransmissions,
+                        r.net.link_retries,
+                        r.net.retry_exhaustions,
+                        r.net.e2e_recoveries,
+                        r.net.retransmissions,
                         r.goodput,
                     );
                     let _ = writeln!(
@@ -89,12 +90,12 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                         r.delivery_ratio,
                         r.completed,
                         r.launched,
-                        r.flits_corrupted,
-                        r.flits_dropped_transient,
-                        r.link_retries,
-                        r.retry_exhaustions,
-                        r.e2e_recoveries,
-                        r.retransmissions,
+                        r.net.flits_corrupted,
+                        r.net.flits_dropped_transient,
+                        r.net.link_retries,
+                        r.net.retry_exhaustions,
+                        r.net.e2e_recoveries,
+                        r.net.retransmissions,
                         r.goodput,
                     );
                 }
@@ -119,7 +120,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                 .iter()
                 .filter(|&&r| r > 0)
                 .map(|&r| {
-                    TransientConfig::paper_default(r, false, false).error_model().canonical_string()
+                    PeriodicConfig::transient(r, false, false).errors.canonical_string()
                 })
                 .collect::<Vec<_>>()
                 .join(",")

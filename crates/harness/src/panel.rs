@@ -79,7 +79,7 @@ pub fn single_panel_units(panel: &PanelSpec) -> Vec<Unit> {
                         sim: p.sim.clone(),
                     })
                     .collect();
-                let rows = single_sweep_serial(&refs, &points, ctx.opts.trials, SWEEP_SEED);
+                let rows = single_sweep_serial(&refs, &points, ctx.opts.trials, SWEEP_SEED)?;
                 Ok(vec![
                     sim_fingerprint(&p.sim),
                     topo_fingerprint(&p.topo),

@@ -865,6 +865,13 @@ impl<'n, P: Protocol> Simulator<'n, P> {
         &self.stats
     }
 
+    /// Consume the simulator and return [`Self::stats`] by value, moving
+    /// the per-multicast table out instead of cloning it.
+    pub fn into_stats(mut self) -> SimStats {
+        self.stats();
+        self.stats
+    }
+
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------

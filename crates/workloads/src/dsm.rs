@@ -13,13 +13,13 @@
 //! short-message, high-fan-in regime — the opposite corner from the
 //! Fig. 8 long-message study.
 
+use crate::load::{window, LoadResult};
+use crate::scenario::{check_rate, check_shape, Launch, Scenario, Stop, WorkloadError};
 use crate::single::random_dests;
-use crate::stats::Summary;
 use irrnet_core::rng::SmallRng;
-use irrnet_core::{plan_multicast, SchemeId, SchemeProtocol};
-use irrnet_sim::{Cycle, McastId, SimConfig, SimError, Simulator};
-use irrnet_topology::{Network, NodeId, NodeMask};
-use std::sync::Arc;
+use irrnet_core::SchemeId;
+use irrnet_sim::{Cycle, SimConfig};
+use irrnet_topology::{Network, NodeId};
 
 /// Parameters of the synthetic DSM workload.
 #[derive(Debug, Clone)]
@@ -67,27 +67,16 @@ impl Default for DsmConfig {
     }
 }
 
-/// One invalidation event of the generated trace.
-#[derive(Debug, Clone)]
-pub struct InvalEvent {
-    /// Launch cycle.
-    pub at: Cycle,
-    /// The block's home node (multicast source).
-    pub home: NodeId,
-    /// Sharers to invalidate (never contains the home).
-    pub sharers: NodeMask,
-}
-
-/// A generated invalidation trace.
-#[derive(Debug, Clone, Default)]
-pub struct DsmTrace {
-    /// Events in launch order.
-    pub events: Vec<InvalEvent>,
-}
-
-/// Generate the invalidation trace for a system of `num_nodes` nodes.
-pub fn generate_trace(num_nodes: usize, cfg: &DsmConfig) -> DsmTrace {
-    assert!(cfg.blocks > 0 && cfg.write_rate > 0.0);
+/// Generate the invalidation trace for a system of `num_nodes` nodes:
+/// one launch per write, from the block's home to its sharers (never the
+/// home itself), in launch order.
+pub fn generate_trace(num_nodes: usize, cfg: &DsmConfig) -> Result<Vec<Launch>, WorkloadError> {
+    // Every block has a home and at least one other node sharing it.
+    check_shape(1, num_nodes, cfg.inval_flits)?;
+    check_rate("write rate", cfg.write_rate)?;
+    if cfg.blocks == 0 {
+        return Err(WorkloadError::Input("the directory needs at least one block".into()));
+    }
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
     // Directory state: per block, a home node and a sharer set.
@@ -122,79 +111,26 @@ pub fn generate_trace(num_nodes: usize, cfg: &DsmConfig) -> DsmTrace {
         } else {
             rng.gen_range(0..cfg.blocks)
         };
-        events.push(InvalEvent {
-            at: t as Cycle,
-            home: homes[block],
-            sharers: sharers[block].clone(),
-        });
+        events.push((t as Cycle, homes[block], sharers[block].clone()));
     }
-    DsmTrace { events }
+    Ok(events)
 }
 
-/// Result of replaying a DSM trace under one multicast scheme.
-#[derive(Debug, Clone, Copy)]
-pub struct DsmResult {
-    /// Invalidations launched in the measurement window.
-    pub invalidations: usize,
-    /// Latency distribution of completed invalidations (launch → last
-    /// sharer acknowledged-invalid, i.e. host-level delivery).
-    pub latency: Option<Summary>,
-    /// True if under 90% completed.
-    pub saturated: bool,
-}
-
-/// Replay a trace under `scheme`.
+/// Replay a trace under `scheme`. The result summarizes the invalidations
+/// launched in the measurement window: `launched` counts them and
+/// `latency` is the distribution of the completed ones (launch → last
+/// sharer acknowledged-invalid, i.e. host-level delivery).
 pub fn run_dsm(
     net: &Network,
     sim_cfg: &SimConfig,
     scheme: impl Into<SchemeId>,
     cfg: &DsmConfig,
-) -> Result<DsmResult, SimError> {
-    let scheme = scheme.into();
-    let trace = generate_trace(net.topo.num_nodes(), cfg);
-    let mut proto = SchemeProtocol::new();
-    let mut launches = Vec::with_capacity(trace.events.len());
-    for (i, ev) in trace.events.iter().enumerate() {
-        let id = McastId(i as u64);
-        let plan = plan_multicast(net, sim_cfg, scheme, ev.home, ev.sharers.clone(), cfg.inval_flits);
-        proto.add(id, Arc::new(plan));
-        launches.push((ev.at, id, ev.sharers.clone()));
-    }
-    let mut sim = Simulator::new(net, sim_cfg.clone(), proto)?;
-    for (at, id, sharers) in launches {
-        sim.schedule_multicast(at, id, sharers, cfg.inval_flits);
-    }
+) -> Result<LoadResult, WorkloadError> {
+    let trace = generate_trace(net.topo.num_nodes(), cfg)?;
     let horizon = cfg.warmup + cfg.measure;
-    sim.run_until(horizon + cfg.drain)?;
-    let stats = sim.stats();
-    let mut n = 0usize;
-    let mut done = 0usize;
-    let mut samples = Vec::new();
-    let mut streaming = if cfg.stream_stats {
-        Some(crate::stats::StreamingSummary::default_eps())
-    } else {
-        None
-    };
-    for r in stats.mcasts.values() {
-        if r.launched >= cfg.warmup && r.launched < horizon {
-            n += 1;
-            if let Some(l) = r.latency() {
-                done += 1;
-                match &mut streaming {
-                    Some(s) => s.push(l as f64),
-                    None => samples.push(l as f64),
-                }
-            }
-        }
-    }
-    Ok(DsmResult {
-        invalidations: n,
-        latency: match &streaming {
-            Some(s) => s.summary(),
-            None => Summary::of(&samples),
-        },
-        saturated: n > 0 && (done as f64) < 0.9 * n as f64,
-    })
+    let stop = Stop::At(horizon + cfg.drain);
+    let out = Scenario::new(net, sim_cfg, scheme, cfg.inval_flits, trace, stop).run()?;
+    Ok(window(&out.stats, cfg.warmup, horizon, cfg.stream_stats))
 }
 
 #[cfg(test)]
@@ -210,46 +146,38 @@ mod tests {
     #[test]
     fn trace_is_well_formed() {
         let cfg = DsmConfig::default();
-        let t = generate_trace(32, &cfg);
-        assert!(!t.events.is_empty());
+        let t = generate_trace(32, &cfg).unwrap();
+        assert!(!t.is_empty());
         let horizon = cfg.warmup + cfg.measure;
         let mut prev = 0;
-        for e in &t.events {
-            assert!(e.at < horizon);
-            assert!(e.at >= prev, "events in launch order");
-            prev = e.at;
-            assert!(!e.sharers.is_empty());
-            assert!(!e.sharers.contains(e.home), "home never invalidates itself");
+        for (at, home, sharers) in &t {
+            assert!(*at < horizon);
+            assert!(*at >= prev, "events in launch order");
+            prev = *at;
+            assert!(!sharers.is_empty());
+            assert!(!sharers.contains(*home), "home never invalidates itself");
         }
     }
 
     #[test]
     fn trace_is_deterministic_per_seed() {
         let cfg = DsmConfig::default();
-        let a = generate_trace(32, &cfg);
-        let b = generate_trace(32, &cfg);
-        assert_eq!(a.events.len(), b.events.len());
-        for (x, y) in a.events.iter().zip(&b.events) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.home, y.home);
-            assert_eq!(x.sharers, y.sharers);
-        }
+        assert_eq!(generate_trace(32, &cfg).unwrap(), generate_trace(32, &cfg).unwrap());
     }
 
     #[test]
     fn hot_blocks_receive_most_writes() {
         let cfg = DsmConfig { hot_fraction: 0.9, write_rate: 1e-3, ..DsmConfig::default() };
-        let t = generate_trace(32, &cfg);
+        let t = generate_trace(32, &cfg).unwrap();
         // With 90% of writes on 10% of blocks, the distinct (home,
         // sharers) pairs seen should be far fewer than events.
         let mut keys: Vec<(u16, Vec<u16>)> = t
-            .events
             .iter()
-            .map(|e| (e.home.0, e.sharers.iter().map(|n| n.0).collect()))
+            .map(|(_, home, sharers)| (home.0, sharers.iter().map(|n| n.0).collect()))
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        assert!(keys.len() * 3 < t.events.len(), "{} vs {}", keys.len(), t.events.len());
+        assert!(keys.len() * 3 < t.len(), "{} vs {}", keys.len(), t.len());
     }
 
     #[test]
@@ -257,7 +185,7 @@ mod tests {
         let net = net();
         let sim_cfg = SimConfig::paper_default();
         let r = run_dsm(&net, &sim_cfg, Scheme::TreeWorm, &DsmConfig::default()).unwrap();
-        assert!(r.invalidations > 0);
+        assert!(r.launched > 0);
         assert!(!r.saturated, "{r:?}");
         let s = r.latency.unwrap();
         // Short messages, single phase: comfortably under 3k cycles mean.
@@ -278,5 +206,19 @@ mod tests {
             u.mean
         );
         assert!(t.p95 < u.p95);
+    }
+
+    #[test]
+    fn bad_configs_are_rejected_before_drawing() {
+        let bad = [
+            DsmConfig { blocks: 0, ..DsmConfig::default() },
+            DsmConfig { write_rate: 0.0, ..DsmConfig::default() },
+            DsmConfig { write_rate: f64::NAN, ..DsmConfig::default() },
+            DsmConfig { inval_flits: 0, ..DsmConfig::default() },
+        ];
+        for cfg in &bad {
+            assert!(matches!(generate_trace(32, cfg), Err(WorkloadError::Input(_))), "{cfg:?}");
+        }
+        assert!(generate_trace(1, &DsmConfig::default()).is_err(), "one node shares nothing");
     }
 }

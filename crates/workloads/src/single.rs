@@ -5,11 +5,11 @@
 //! estimate of the best possible performance of each of the three schemes
 //! in isolation."
 
+use crate::scenario::{check_shape, Scenario, Stop, WorkloadError};
 use irrnet_core::rng::SmallRng;
-use irrnet_core::{plan_multicast, PlanMeta, SchemeId, SchemeProtocol};
-use irrnet_sim::{McastId, SimConfig, SimError, Simulator};
+use irrnet_core::{PlanMeta, SchemeId};
+use irrnet_sim::{McastId, SimConfig};
 use irrnet_topology::{Network, NodeId, NodeMask};
-use std::sync::Arc;
 
 /// Result of one single-multicast run.
 #[derive(Debug, Clone, Copy)]
@@ -33,21 +33,14 @@ pub fn run_single(
     source: NodeId,
     dests: NodeMask,
     message_flits: u32,
-) -> Result<SingleResult, SimError> {
-    let plan = plan_multicast(net, cfg, scheme, source, dests.clone(), message_flits);
-    let meta = plan.meta;
-    let mut proto = SchemeProtocol::new();
-    proto.add(McastId(0), Arc::new(plan));
-    let mut sim = Simulator::new(net, cfg.clone(), proto)?;
-    sim.schedule_multicast(0, McastId(0), dests, message_flits);
-    sim.run_to_completion(500_000_000)?;
-    let stats = sim.stats();
-    let latency = stats
-        .latency_of(McastId(0))
-        .expect("run_to_completion guarantees completion");
+) -> Result<SingleResult, WorkloadError> {
+    let launch = vec![(0, source, dests)];
+    let out =
+        Scenario::new(net, cfg, scheme, message_flits, launch, Stop::Complete(500_000_000)).run()?;
+    let stats = out.stats;
     Ok(SingleResult {
-        latency,
-        meta,
+        latency: stats.latency_of(McastId(0)).expect("a completed run delivered everything"),
+        meta: out.plans[0],
         cycles_run: stats.cycles_run,
         sweeps_run: stats.sweeps_run,
     })
@@ -89,8 +82,12 @@ pub fn mean_single_latency(
     message_flits: u32,
     trials: usize,
     seed: u64,
-) -> Result<f64, SimError> {
+) -> Result<f64, WorkloadError> {
     let scheme = scheme.into();
+    check_shape(degree, net.topo.num_nodes(), message_flits)?;
+    if trials == 0 {
+        return Err(WorkloadError::Input("a mean needs at least one trial".into()));
+    }
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut sum = 0u64;
     for _ in 0..trials {
@@ -133,5 +130,16 @@ mod tests {
         let a = mean_single_latency(&net, &cfg, Scheme::NiFpfs, 6, 128, 3, 42).unwrap();
         let b = mean_single_latency(&net, &cfg, Scheme::NiFpfs, 6, 128, 3, 42).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bad_shapes_are_rejected_before_drawing() {
+        let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
+        let cfg = SimConfig::paper_default();
+        let n = net.topo.num_nodes();
+        for (degree, flits, trials) in [(0, 128, 3), (n, 128, 3), (4, 0, 3), (4, 128, 0)] {
+            let r = mean_single_latency(&net, &cfg, Scheme::TreeWorm, degree, flits, trials, 1);
+            assert!(matches!(r, Err(WorkloadError::Input(_))), "{degree} {flits} {trials}: {r:?}");
+        }
     }
 }

@@ -1,31 +1,20 @@
-//! Parameter sweeps over (scheme × parameter × topology) grids, run in
-//! parallel across OS threads.
+//! Parameter sweeps over (scheme × parameter × topology) grids, and the
+//! worker pool the campaign runner spreads independent units over.
 //!
-//! Each simulation is single-threaded and deterministic; the grid points
-//! are independent, so a simple shared-index work queue over scoped
-//! threads gives linear speedup without any extra dependencies. Results
-//! are identical whatever the worker count: per-point RNG streams are
-//! derived by hashing `(seed, point, topology)` — never from scheduling
-//! order.
+//! Each simulation is single-threaded and deterministic. Results are
+//! identical whatever the worker count: per-point RNG streams are derived
+//! by hashing `(seed, point, topology)` — never from scheduling order.
 
+use crate::scenario::WorkloadError;
+use crate::single::mean_single_latency;
 use irrnet_core::rng;
 use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
-use irrnet_topology::{gen, Network, RandomTopologyConfig};
+use irrnet_topology::Network;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Run `f` over `tasks` on up to `available_parallelism` worker threads,
-/// returning results in task order.
-pub fn par_run<T, R, F>(tasks: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_run_with(tasks, None, f)
-}
-
-/// [`par_run`] with an explicit worker count (`None` = one per core).
+/// Run `f` over `tasks` on up to `workers` threads (`None` = one per
+/// core), returning results in task order.
 ///
 /// Workers pull indices from a shared atomic queue and accumulate
 /// `(index, result)` pairs in a thread-local buffer — one allocation per
@@ -86,25 +75,6 @@ where
         .collect()
 }
 
-/// Build the analyzed networks for a batch of topology seeds.
-pub fn build_networks(base: &RandomTopologyConfig, seeds: &[u64]) -> Vec<Network> {
-    seeds
-        .iter()
-        .map(|&s| {
-            let mut cfg = base.clone();
-            cfg.seed = s;
-            Network::analyze(gen::generate(&cfg).expect("feasible topology config"))
-                .expect("generated topology analyzes")
-        })
-        .collect()
-}
-
-/// The topology seeds the experiments average over (DESIGN.md: 10 random
-/// topologies, seeds 0..10).
-pub fn default_seeds() -> Vec<u64> {
-    (0..10).collect()
-}
-
 /// One grid point of a single-multicast sweep.
 #[derive(Debug, Clone)]
 pub struct SinglePoint {
@@ -138,72 +108,53 @@ pub fn point_seed(seed: u64, pi: usize, ti: usize) -> u64 {
     rng::hash3(seed, pi as u64, ti as u64)
 }
 
-fn eval_point(nets: &[&Network], p: &SinglePoint, pi: usize, trials: usize, seed: u64) -> SweepRow {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for (ti, net) in nets.iter().enumerate() {
-        let s = crate::single::mean_single_latency(
-            net,
-            &p.sim,
-            p.scheme,
-            p.degree,
-            p.message_flits,
-            trials,
-            point_seed(seed, pi, ti),
-        )
-        .expect("single multicast completes");
-        sum += s;
-        count += 1;
-    }
-    SweepRow { scheme: p.scheme, degree: p.degree, mean_latency: sum / count as f64 }
-}
-
 /// Run a single-multicast sweep: for every point, average
-/// `trials_per_topo` random multicasts on every network.
-pub fn single_sweep(
-    nets: &[Network],
-    points: &[SinglePoint],
-    trials_per_topo: usize,
-    seed: u64,
-) -> Vec<SweepRow> {
-    let refs: Vec<&Network> = nets.iter().collect();
-    let tasks: Vec<(usize, &SinglePoint)> = points.iter().enumerate().collect();
-    par_run(&tasks, |(pi, p)| eval_point(&refs, p, *pi, trials_per_topo, seed))
-}
-
-/// Serial [`single_sweep`] over borrowed networks — the form the
-/// experiment harness uses, where parallelism lives one level up (the
-/// cross-experiment unit pool) and the networks come out of a shared
-/// cache. Produces bit-identical rows to [`single_sweep`].
+/// `trials_per_topo` random multicasts on every network. Serial:
+/// parallelism lives one level up (the campaign's unit pool), and the
+/// networks come out of a shared cache.
 pub fn single_sweep_serial(
     nets: &[&Network],
     points: &[SinglePoint],
     trials_per_topo: usize,
     seed: u64,
-) -> Vec<SweepRow> {
-    points
-        .iter()
-        .enumerate()
-        .map(|(pi, p)| eval_point(nets, p, pi, trials_per_topo, seed))
-        .collect()
+) -> Result<Vec<SweepRow>, WorkloadError> {
+    let mut rows = Vec::with_capacity(points.len());
+    for (pi, p) in points.iter().enumerate() {
+        let mut sum = 0.0;
+        for (ti, net) in nets.iter().enumerate() {
+            sum += mean_single_latency(
+                net,
+                &p.sim,
+                p.scheme,
+                p.degree,
+                p.message_flits,
+                trials_per_topo,
+                point_seed(seed, pi, ti),
+            )?;
+        }
+        let mean_latency = sum / nets.len() as f64;
+        rows.push(SweepRow { scheme: p.scheme, degree: p.degree, mean_latency });
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use irrnet_core::Scheme;
+    use irrnet_topology::{gen, RandomTopologyConfig};
 
     #[test]
     fn par_run_preserves_order() {
         let tasks: Vec<usize> = (0..100).collect();
-        let out = par_run(&tasks, |&t| t * 2);
+        let out = par_run_with(&tasks, None, |&t| t * 2);
         assert_eq!(out, (0..100).map(|t| t * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_run_empty() {
         let tasks: Vec<usize> = Vec::new();
-        assert!(par_run(&tasks, |&t| t).is_empty());
+        assert!(par_run_with(&tasks, None, |&t| t).is_empty());
     }
 
     #[test]
@@ -226,38 +177,24 @@ mod tests {
     }
 
     #[test]
-    fn networks_build_for_default_seeds() {
-        let nets = build_networks(&RandomTopologyConfig::paper_default(0), &[0, 1, 2]);
-        assert_eq!(nets.len(), 3);
-    }
-
-    #[test]
     fn small_sweep_produces_sane_rows() {
-        let nets = build_networks(&RandomTopologyConfig::paper_default(0), &[0, 1]);
-        let points = vec![
-            SinglePoint {
-                scheme: Scheme::TreeWorm.id(),
-                degree: 4,
-                message_flits: 128,
-                sim: SimConfig::paper_default(),
-            },
-            SinglePoint {
-                scheme: Scheme::TreeWorm.id(),
-                degree: 16,
-                message_flits: 128,
-                sim: SimConfig::paper_default(),
-            },
-        ];
-        let rows = single_sweep(&nets, &points, 2, 99);
+        let nets: Vec<Network> = [0, 1]
+            .iter()
+            .map(|&seed| {
+                let cfg = RandomTopologyConfig { seed, ..RandomTopologyConfig::paper_default(0) };
+                Network::analyze(gen::generate(&cfg).unwrap()).unwrap()
+            })
+            .collect();
+        let point = |degree| SinglePoint {
+            scheme: Scheme::TreeWorm.id(),
+            degree,
+            message_flits: 128,
+            sim: SimConfig::paper_default(),
+        };
+        let refs: Vec<&Network> = nets.iter().collect();
+        let rows = single_sweep_serial(&refs, &[point(4), point(16)], 2, 99).unwrap();
         assert_eq!(rows.len(), 2);
         // More destinations can only slow a single multicast down.
         assert!(rows[1].mean_latency >= rows[0].mean_latency);
-
-        // The serial harness path is bit-identical to the pooled one.
-        let refs: Vec<&Network> = nets.iter().collect();
-        let serial = single_sweep_serial(&refs, &points, 2, 99);
-        for (a, b) in rows.iter().zip(&serial) {
-            assert_eq!(a.mean_latency, b.mean_latency);
-        }
     }
 }

@@ -40,10 +40,6 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
         .unwrap_or(default)
 }
 
-fn scheme_by_name(name: &str) -> Option<Scheme> {
-    Scheme::all().into_iter().find(|s| s.name() == name)
-}
-
 fn topo_config(flags: &HashMap<String, String>, seed: u64) -> RandomTopologyConfig {
     RandomTopologyConfig {
         num_switches: get(flags, "switches", 8usize),
@@ -72,11 +68,10 @@ fn network(flags: &HashMap<String, String>, seed: u64) -> Result<Network, String
         .map_err(|e| format!("topology error: {e}"))
 }
 
-fn scheme_flag(flags: &HashMap<String, String>) -> Result<Scheme, String> {
-    flags
-        .get("scheme")
-        .and_then(|s| scheme_by_name(s))
-        .ok_or_else(|| "--scheme required; see `irrnet schemes`".to_string())
+fn scheme_flag(flags: &HashMap<String, String>) -> Result<SchemeId, String> {
+    let name = flags.get("scheme").ok_or("--scheme required; see `irrnet schemes`")?;
+    SchemeRegistry::resolve(name)
+        .ok_or_else(|| format!("unknown scheme '{name}'; see `irrnet schemes`"))
 }
 
 fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
@@ -85,12 +80,15 @@ fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
     let msg: u32 = get(&flags, "msg", 128);
     let seeds: u64 = get(&flags, "seeds", 5);
     let trials: usize = get(&flags, "trials", 3);
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".into());
+    }
     let cfg = sim_config(&flags);
     let mut sum = 0.0;
     for seed in 0..seeds {
         let net = network(&flags, seed)?;
         sum += mean_single_latency(&net, &cfg, scheme, degree, msg, trials, seed)
-            .map_err(|e| format!("simulation error: {e}"))?;
+            .map_err(|e| e.to_string())?;
     }
     let mean = sum / seeds as f64;
     println!(
@@ -111,7 +109,7 @@ fn cmd_load(flags: HashMap<String, String>) -> Result<(), String> {
     let net = network(&flags, get(&flags, "seed", 0))?;
     let mut lc = LoadConfig::paper_default(degree, load);
     lc.message_flits = get(&flags, "msg", 128);
-    let r = run_load(&net, &cfg, scheme, &lc).map_err(|e| format!("simulation error: {e}"))?;
+    let r = run_load(&net, &cfg, scheme, &lc).map_err(|e| e.to_string())?;
     println!(
         "{} at effective load {load}: launched {}, completed {}, saturated: {}",
         scheme.name(),
@@ -183,8 +181,8 @@ fn main() -> ExitCode {
         "topo" => cmd_topo(flags),
         "metrics" => cmd_metrics(flags),
         "schemes" => {
-            for s in Scheme::all() {
-                println!("{}", s.name());
+            for name in SchemeRegistry::names() {
+                println!("{name}");
             }
             Ok(())
         }

@@ -1,5 +1,5 @@
 //! The `irrnet` command line reports bad input as an error message and
-//! exit status 1, never as a panic.
+//! exit status 1, never as a panic, a hang or a NaN.
 
 use std::process::Command;
 
@@ -28,4 +28,41 @@ fn switches_wider_than_the_engine_supports_are_an_error() {
 #[test]
 fn topologies_without_enough_ports_are_an_error() {
     assert_clean_failure(&["topo", "--switches", "2", "--nodes", "500"], "topology error");
+}
+
+#[test]
+fn degrees_without_room_for_a_source_are_an_error() {
+    // The default network has 32 hosts.
+    assert_clean_failure(&["single", "--scheme", "tree", "--degree", "32"], "degree 32");
+    assert_clean_failure(&["load", "--scheme", "tree", "--degree", "40"], "degree 40");
+    assert_clean_failure(&["single", "--scheme", "tree", "--degree", "0"], "degree 0");
+    assert_clean_failure(&["load", "--scheme", "tree", "--degree", "0"], "degree 0");
+}
+
+#[test]
+fn empty_messages_are_an_error() {
+    assert_clean_failure(&["single", "--scheme", "tree", "--msg", "0"], "at least one flit");
+    assert_clean_failure(&["load", "--scheme", "tree", "--msg", "0"], "at least one flit");
+}
+
+#[test]
+fn loads_must_be_finite_and_positive() {
+    assert_clean_failure(&["load", "--scheme", "tree", "--load", "0"], "effective load 0");
+    assert_clean_failure(&["load", "--scheme", "tree", "--load", "nan"], "effective load NaN");
+}
+
+#[test]
+fn empty_averages_are_an_error() {
+    assert_clean_failure(&["single", "--scheme", "tree", "--trials", "0"], "at least one trial");
+    assert_clean_failure(&["single", "--scheme", "tree", "--seeds", "0"], "--seeds");
+}
+
+#[test]
+fn schemes_resolve_through_the_registry() {
+    assert_clean_failure(&["single", "--scheme", "nope"], "unknown scheme 'nope'");
+    assert_clean_failure(&["single"], "--scheme required");
+    let (code, text) = run_irrnet(&["schemes"]);
+    assert_eq!(code, Some(0), "{text}");
+    let names: Vec<&str> = text.lines().collect();
+    assert_eq!(names, irrnet::mcast::SchemeRegistry::names());
 }
