@@ -7,8 +7,8 @@
 //!
 //! This crate implements that derivation literally:
 //!
-//! * [`CollectiveOp::Broadcast`] — one multicast under any
-//!   [`irrnet_core::Scheme`];
+//! * [`CollectiveOp::Broadcast`] — one multicast under any registered
+//!   [`irrnet_core::SchemeId`];
 //! * [`CollectiveOp::Reduce`] — software combining up a k-binomial tree
 //!   (one short message per tree edge; a parent fires once all its
 //!   children arrived);
@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use irrnet_collectives::{run_collective, CollectiveOp};
-//! use irrnet_core::Scheme;
+//! use irrnet_core::SchemeId;
 //! use irrnet_sim::SimConfig;
 //! use irrnet_topology::{zoo, Network, NodeId, NodeMask};
 //!
@@ -38,7 +38,7 @@
 //!     CollectiveOp::Barrier,
 //!     NodeId(0),
 //!     NodeMask::all(32),
-//!     Scheme::TreeWorm,
+//!     SchemeId::TREE,
 //!     4,
 //!     8,
 //! )

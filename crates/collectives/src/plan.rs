@@ -85,11 +85,10 @@ impl CollectivePlan {
     /// Compile a collective over `members` rooted at `root`.
     ///
     /// `scheme` chooses the broadcast implementation (ignored for pure
-    /// reduce) — any registered [`SchemeId`] or a legacy
-    /// [`irrnet_core::Scheme`] variant. `fanout` bounds the combining
-    /// tree (the classic binomial combining tree is `members-1`, i.e.
-    /// unbounded; small fan-outs trade depth for less combining
-    /// serialization at the root).
+    /// reduce) — any registered [`SchemeId`]. `fanout` bounds the
+    /// combining tree (the classic binomial combining tree is
+    /// `members-1`, i.e. unbounded; small fan-outs trade depth for less
+    /// combining serialization at the root).
     #[allow(clippy::too_many_arguments)]
     pub fn compile(
         net: &Network,
@@ -97,7 +96,7 @@ impl CollectivePlan {
         op: CollectiveOp,
         root: NodeId,
         members: NodeMask,
-        scheme: impl Into<SchemeId>,
+        scheme: SchemeId,
         fanout: usize,
         data_flits: u32,
         base_id: u64,
@@ -108,7 +107,6 @@ impl CollectivePlan {
         if members.len() < 2 {
             return Err(CollectiveError::TooFewMembers(members.len()));
         }
-        let scheme = scheme.into();
         let contrib_flits = payload_flits(op, data_flits);
         let bcast_flits = payload_flits(op, data_flits);
 
@@ -180,7 +178,7 @@ impl CollectivePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::zoo;
 
     fn setup() -> (Network, SimConfig) {
@@ -200,7 +198,7 @@ mod tests {
             CollectiveOp::Barrier,
             NodeId(0),
             members.clone(),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             8,
             0,
@@ -229,7 +227,7 @@ mod tests {
             CollectiveOp::Reduce,
             NodeId(3),
             members,
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             2,
             128,
             10,
@@ -253,7 +251,7 @@ mod tests {
             CollectiveOp::Broadcast,
             NodeId(0),
             members,
-            Scheme::PathLessGreedy,
+            SchemeId::PATH_LG,
             4,
             128,
             0,
@@ -273,7 +271,7 @@ mod tests {
             CollectiveOp::Reduce,
             NodeId(0),
             members,
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             3,
             64,
             0,
@@ -297,7 +295,7 @@ mod tests {
             CollectiveOp::Barrier,
             NodeId(0),
             members.clone(),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             8,
             0,
@@ -310,7 +308,7 @@ mod tests {
             CollectiveOp::Barrier,
             NodeId(0),
             NodeMask::single(NodeId(0)),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             8,
             0,

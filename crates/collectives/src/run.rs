@@ -31,7 +31,7 @@ pub fn run_collective(
     op: CollectiveOp,
     root: NodeId,
     members: NodeMask,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     fanout: usize,
     data_flits: u32,
 ) -> Result<CollectiveResult, CollectiveError> {
@@ -74,7 +74,7 @@ pub fn run_collective(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::{gen, zoo, RandomTopologyConfig};
 
     fn net() -> Network {
@@ -95,7 +95,7 @@ mod tests {
             CollectiveOp::Broadcast,
             NodeId(0),
             all32(),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             128,
         )
@@ -109,11 +109,12 @@ mod tests {
     /// Plain 31-way tree multicast latency, computed without the
     /// workloads crate (no circular dev-dependency).
     fn irrnet_workloads_shim(net: &Network, cfg: &SimConfig) -> u64 {
-        use irrnet_core::{plan_multicast, SchemeProtocol};
+        use irrnet_core::{try_plan_multicast, SchemeProtocol};
         use std::sync::Arc;
         let mut dests = all32();
         dests.remove(NodeId(0));
-        let plan = plan_multicast(net, cfg, Scheme::TreeWorm, NodeId(0), dests.clone(), 128);
+        let plan =
+            try_plan_multicast(net, cfg, SchemeId::TREE, NodeId(0), dests.clone(), 128).unwrap();
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(0), Arc::new(plan));
         let mut sim = Simulator::new(net, cfg.clone(), proto).unwrap();
@@ -131,7 +132,7 @@ mod tests {
             CollectiveOp::Reduce,
             NodeId(5),
             all32(),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             64,
         )
@@ -151,7 +152,7 @@ mod tests {
             CollectiveOp::Barrier,
             NodeId(0),
             all32(),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             8,
         )
@@ -162,7 +163,7 @@ mod tests {
             CollectiveOp::Reduce,
             NodeId(0),
             all32(),
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             4,
             8,
         )
@@ -189,8 +190,8 @@ mod tests {
             .unwrap()
             .latency
         };
-        let tree = lat(Scheme::TreeWorm);
-        let ub = lat(Scheme::UBinomial);
+        let tree = lat(SchemeId::TREE);
+        let ub = lat(SchemeId::UBINOMIAL);
         assert!(
             tree < ub,
             "tree-released barrier ({tree}) must beat software release ({ub})"
@@ -206,7 +207,7 @@ mod tests {
             )
             .unwrap();
             let members = NodeMask::from_nodes((0..24).map(NodeId));
-            for scheme in [Scheme::TreeWorm, Scheme::NiFpfs, Scheme::PathLessGreedy] {
+            for scheme in [SchemeId::TREE, SchemeId::NI_FPFS, SchemeId::PATH_LG] {
                 let r = run_collective(
                     &net,
                     &cfg,
@@ -235,7 +236,7 @@ mod tests {
                 CollectiveOp::Reduce,
                 NodeId(0),
                 all32(),
-                Scheme::TreeWorm,
+                SchemeId::TREE,
                 fanout,
                 64,
             )

@@ -7,7 +7,7 @@
 
 use irrnet_collectives::{run_collective, CollectiveOp};
 use irrnet_core::rng::SmallRng;
-use irrnet_core::Scheme;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{gen, Network, NodeId, NodeMask, RandomTopologyConfig};
 use std::collections::HashMap;
@@ -19,12 +19,12 @@ const OPS: [CollectiveOp; 4] = [
     CollectiveOp::AllReduce,
 ];
 
-const SCHEMES: [Scheme; 5] = [
-    Scheme::UBinomial,
-    Scheme::NiFpfs,
-    Scheme::TreeWorm,
-    Scheme::PathLessGreedy,
-    Scheme::PathLgNi,
+const SCHEMES: [SchemeId; 5] = [
+    SchemeId::UBINOMIAL,
+    SchemeId::NI_FPFS,
+    SchemeId::TREE,
+    SchemeId::PATH_LG,
+    SchemeId::PATH_LG_NI,
 ];
 
 #[test]
@@ -74,7 +74,7 @@ fn collectives_always_complete() {
         )
         .expect("collective completes");
         let others = members.len() - 1;
-        let ctx = format!("seed {seed} op {op:?} scheme {scheme:?} fanout {fanout}");
+        let ctx = format!("seed {seed} op {op:?} scheme {scheme} fanout {fanout}");
         match op {
             CollectiveOp::Broadcast => {
                 assert_eq!(r.messages, 1, "{ctx}");

@@ -96,7 +96,7 @@ impl Protocol for SchemeProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{plan_multicast, Scheme};
+    use crate::{try_plan_multicast, SchemeId};
     use irrnet_sim::SimConfig;
     use irrnet_topology::{zoo, Network, NodeMask};
 
@@ -105,7 +105,8 @@ mod tests {
         let net = Network::analyze(zoo::chain(3).unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
         let dests = NodeMask::from_nodes([NodeId(1), NodeId(2)]);
-        let plan = plan_multicast(&net, &cfg, Scheme::UBinomial, NodeId(0), dests, 128);
+        let plan =
+            try_plan_multicast(&net, &cfg, SchemeId::UBINOMIAL, NodeId(0), dests, 128).unwrap();
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(7), Arc::new(plan));
         let sends = proto.on_launch(McastId(7), 0).unwrap();
@@ -118,14 +119,9 @@ mod tests {
     fn duplicate_registration_panics() {
         let net = Network::analyze(zoo::chain(2).unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
-        let plan = Arc::new(plan_multicast(
-            &net,
-            &cfg,
-            Scheme::TreeWorm,
-            NodeId(0),
-            NodeMask::single(NodeId(1)),
-            128,
-        ));
+        let dests = NodeMask::single(NodeId(1));
+        let plan = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128).unwrap();
+        let plan = Arc::new(plan);
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(0), plan.clone());
         proto.add(McastId(0), plan);
@@ -136,7 +132,7 @@ mod tests {
         let net = Network::analyze(zoo::chain(3).unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
         let dests = NodeMask::from_nodes([NodeId(1), NodeId(2)]);
-        let plan = plan_multicast(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests, 128);
+        let plan = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128).unwrap();
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(1), Arc::new(plan));
         assert!(proto.on_message_delivered(NodeId(1), McastId(1), 0).unwrap().is_empty());

@@ -100,7 +100,7 @@ pub fn bitstring_bytes(n_nodes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{plan_multicast, Scheme};
+    use crate::{try_plan_multicast, SchemeId};
     use irrnet_sim::SimConfig;
     use irrnet_topology::{zoo, Network, NodeId};
 
@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn tree_scheme_has_one_big_header() {
         let (net, cfg, dests) = setup();
-        let p = plan_multicast(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests, 128);
+        let p = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128).unwrap();
         let c = header_costs(&net, &p);
         assert_eq!(c.worms, 1);
         assert_eq!(c.max_header_bytes, cfg.tree_header_flits(32) as usize);
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn fpfs_total_header_scales_with_destinations() {
         let (net, cfg, dests) = setup();
-        let p = plan_multicast(&net, &cfg, Scheme::NiFpfs, NodeId(0), dests, 128);
+        let p = try_plan_multicast(&net, &cfg, SchemeId::NI_FPFS, NodeId(0), dests, 128).unwrap();
         let c = header_costs(&net, &p);
         assert_eq!(c.worms, 15, "one unicast worm per destination");
         assert_eq!(c.total_header_bytes, 15 * cfg.unicast_header_flits as usize);
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn fpfs_buffer_requirement_is_fanout() {
         let (net, cfg, dests) = setup();
-        let p = plan_multicast(&net, &cfg, Scheme::NiFpfs, NodeId(0), dests, 128);
+        let p = try_plan_multicast(&net, &cfg, SchemeId::NI_FPFS, NodeId(0), dests, 128).unwrap();
         assert!(fpfs_ni_buffer_packets(&p) >= 1);
     }
 

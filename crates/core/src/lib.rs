@@ -6,19 +6,19 @@
 //!
 //! | scheme | support needed | worms | phases |
 //! |---|---|---|---|
-//! | [`Scheme::UBinomial`] | none (software only) | d | ⌈log₂(d+1)⌉ |
-//! | [`Scheme::NiFpfs`] | smart NI firmware | d | k-binomial depth |
-//! | [`Scheme::TreeWorm`] | switch replication + reachability strings | 1 | 1 |
-//! | [`Scheme::PathLessGreedy`] | switch replication (multi-drop) | w | ⌈log₂(w+1)⌉ |
+//! | [`SchemeId::UBINOMIAL`] | none (software only) | d | ⌈log₂(d+1)⌉ |
+//! | [`SchemeId::NI_FPFS`] | smart NI firmware | d | k-binomial depth |
+//! | [`SchemeId::TREE`] | switch replication + reachability strings | 1 | 1 |
+//! | [`SchemeId::PATH_LG`] | switch replication (multi-drop) | w | ⌈log₂(w+1)⌉ |
 //!
-//! Use [`plan_multicast`] to build a [`McastPlan`] for a (source,
+//! Use [`try_plan_multicast`] to build a [`McastPlan`] for a (source,
 //! destination set, message length) triple and register it with a
 //! [`SchemeProtocol`] driving an [`irrnet_sim::Simulator`].
 //!
 //! # Example
 //!
 //! ```
-//! use irrnet_core::{plan_multicast, Scheme, SchemeProtocol};
+//! use irrnet_core::{try_plan_multicast, SchemeId, SchemeProtocol};
 //! use irrnet_sim::{McastId, SimConfig, Simulator};
 //! use irrnet_topology::{zoo, Network, NodeId, NodeMask};
 //! use std::sync::Arc;
@@ -26,7 +26,8 @@
 //! let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
 //! let cfg = SimConfig::paper_default();
 //! let dests = NodeMask::from_nodes((1..=8).map(NodeId));
-//! let plan = plan_multicast(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests.clone(), 128);
+//! let plan =
+//!     try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), dests.clone(), 128).unwrap();
 //!
 //! let mut proto = SchemeProtocol::new();
 //! proto.add(McastId(0), Arc::new(plan));
@@ -55,12 +56,5 @@ pub use contention::{tree_link_loads, LinkLoadStats};
 pub use kbinomial::{build_k_binomial, build_k_binomial_scattered, choose_k, estimate_fpfs_completion, McastTree};
 pub use mdp::{plan_paths, verify_path_spec, PathPlan, PathVariant};
 pub use model::LatencyModel;
-pub use plan::{plan_multicast, try_plan_multicast, McastPlan, PlanMeta, Scheme};
+pub use plan::{try_plan_multicast, McastPlan, PlanMeta};
 pub use schemes::{MulticastScheme, PlanCtx, PlanError, SchemeCaps, SchemeId, SchemeRegistry};
-
-/// Common imports for downstream crates.
-pub mod prelude {
-    pub use crate::driver::SchemeProtocol;
-    pub use crate::plan::{plan_multicast, try_plan_multicast, McastPlan, PlanMeta, Scheme};
-    pub use crate::schemes::{MulticastScheme, SchemeCaps, SchemeId, SchemeRegistry};
-}

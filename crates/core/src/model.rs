@@ -164,13 +164,20 @@ impl<'n> LatencyModel<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{plan_multicast, Scheme, SchemeProtocol};
+    use crate::{try_plan_multicast, SchemeId, SchemeProtocol};
     use irrnet_sim::{McastId, Simulator};
     use irrnet_topology::{gen, zoo, RandomTopologyConfig};
     use std::sync::Arc;
 
-    fn simulate(net: &Network, cfg: &SimConfig, scheme: Scheme, src: NodeId, dests: NodeMask, msg: u32) -> u64 {
-        let plan = plan_multicast(net, cfg, scheme, src, dests.clone(), msg);
+    fn simulate(
+        net: &Network,
+        cfg: &SimConfig,
+        scheme: SchemeId,
+        src: NodeId,
+        dests: NodeMask,
+        msg: u32,
+    ) -> u64 {
+        let plan = try_plan_multicast(net, cfg, scheme, src, dests.clone(), msg).unwrap();
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(0), Arc::new(plan));
         let mut sim = Simulator::new(net, cfg.clone(), proto).unwrap();
@@ -188,8 +195,8 @@ mod tests {
             for msg in [16u32, 128, 300, 512] {
                 let dst = NodeId((n - 1) as u16);
                 let predicted = model.unicast(NodeId(0), dst, msg);
-                let measured =
-                    simulate(&net, &cfg, Scheme::UBinomial, NodeId(0), NodeMask::single(dst), msg);
+                let single = NodeMask::single(dst);
+                let measured = simulate(&net, &cfg, SchemeId::UBINOMIAL, NodeId(0), single, msg);
                 assert_eq!(predicted, measured, "chain({n}) msg={msg}");
             }
         }
@@ -209,7 +216,7 @@ mod tests {
                 let measured = simulate(
                     &net,
                     &cfg,
-                    Scheme::UBinomial,
+                    SchemeId::UBINOMIAL,
                     NodeId(s),
                     NodeMask::single(NodeId(d)),
                     128,
@@ -231,7 +238,8 @@ mod tests {
             let dests = NodeMask::from_nodes((1..=16).map(NodeId));
             for msg in [128u32, 512] {
                 let predicted = model.tree_worm(NodeId(0), dests.clone(), msg) as f64;
-                let measured = simulate(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests.clone(), msg) as f64;
+                let measured =
+                    simulate(&net, &cfg, SchemeId::TREE, NodeId(0), dests.clone(), msg) as f64;
                 let err = (predicted - measured).abs() / measured;
                 assert!(
                     err < 0.15,
@@ -251,7 +259,7 @@ mod tests {
         .unwrap();
         let model = LatencyModel::new(&net, &cfg);
         let dests = NodeMask::from_nodes((1..=12).map(NodeId));
-        for scheme in Scheme::all() {
+        for scheme in SchemeId::BUILTIN {
             for msg in [128u32, 512] {
                 let lb = model.lower_bound(NodeId(0), dests.clone(), msg);
                 let measured = simulate(&net, &cfg, scheme, NodeId(0), dests.clone(), msg);

@@ -1,6 +1,5 @@
-//! Per-multicast planning: the [`McastPlan`] product type, the legacy
-//! [`Scheme`] enum (now a thin compat layer over the scheme registry),
-//! and the [`plan_multicast`] / [`try_plan_multicast`] entry points.
+//! Per-multicast planning: the [`McastPlan`] product type and the
+//! [`try_plan_multicast`] entry point.
 //!
 //! A [`McastPlan`] is everything the runtime driver needs to execute one
 //! multicast under one scheme: the sends the source issues at launch, the
@@ -11,96 +10,13 @@
 //!
 //! The actual planning logic lives in per-family plugin modules under
 //! [`crate::schemes`]; dispatch goes through the
-//! [`SchemeRegistry`](crate::schemes::SchemeRegistry).
+//! [`SchemeRegistry`].
 
 use crate::schemes::{PlanError, SchemeCaps, SchemeId, SchemeRegistry};
 use irrnet_sim::{SendSpec, SimConfig};
 use irrnet_topology::{Network, NodeId, NodeMask};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The multicast schemes compared in the paper (§3), plus the greedy
-/// path variant as an ablation.
-///
-/// This enum is a compat layer: each variant maps onto a dense registry
-/// [`SchemeId`] (variant order = id order), and every entry point that
-/// used to take a `Scheme` now takes `impl Into<SchemeId>`, so existing
-/// call sites compile unchanged while custom plugins registered at
-/// runtime flow through the same paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// Multi-phase software multicast over unicast: binomial tree,
-    /// ⌈log₂(d+1)⌉ phases, full host+NI overhead per hop (§3.1).
-    UBinomial,
-    /// NI-based multicast: optimal k-binomial tree with FPFS smart-NI
-    /// forwarding (§3.2.1).
-    NiFpfs,
-    /// Switch-based: one tree-based multidestination worm with a
-    /// bit-string header, single phase (§3.2.3).
-    TreeWorm,
-    /// Switch-based: multi-drop path-based worms, greedy covering
-    /// (ablation baseline for MDP-LG).
-    PathGreedy,
-    /// Switch-based: multi-drop path-based worms, MDP-LG covering and
-    /// multi-phase scheduling (§3.2.4) — the paper's path-based scheme.
-    PathLessGreedy,
-    /// Extension: MDP-LG path worms **with smart-NI forwarding** — the
-    /// combination the paper points at but does not evaluate ("a
-    /// multicasting scheme with enhanced support at the network interface
-    /// and the switches will perform better", §3; "the multi-phase
-    /// path-based multicasting scheme can also make use of support at the
-    /// NI", §4.2). Next-phase worms are injected by the leader's NI as
-    /// each packet arrives, skipping the host receive/send overheads
-    /// between phases.
-    PathLgNi,
-}
-
-impl Scheme {
-    /// Short label used in tables and CSV output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::UBinomial => "ubinomial",
-            Scheme::NiFpfs => "ni-fpfs",
-            Scheme::TreeWorm => "tree",
-            Scheme::PathGreedy => "path-g",
-            Scheme::PathLessGreedy => "path-lg",
-            Scheme::PathLgNi => "path-lg+ni",
-        }
-    }
-
-    /// The dense registry id of this builtin scheme.
-    pub fn id(self) -> SchemeId {
-        self.into()
-    }
-
-    /// The builtin scheme behind a registry id, if it is one of the six.
-    pub fn from_id(id: SchemeId) -> Option<Scheme> {
-        Scheme::all().get(id.index()).copied()
-    }
-
-    /// The three enhanced schemes the paper's figures compare.
-    pub fn paper_three() -> [Scheme; 3] {
-        [Scheme::NiFpfs, Scheme::TreeWorm, Scheme::PathLessGreedy]
-    }
-
-    /// Every implemented scheme.
-    pub fn all() -> [Scheme; 6] {
-        [
-            Scheme::UBinomial,
-            Scheme::NiFpfs,
-            Scheme::TreeWorm,
-            Scheme::PathGreedy,
-            Scheme::PathLessGreedy,
-            Scheme::PathLgNi,
-        ]
-    }
-}
-
-impl std::fmt::Display for Scheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Structural facts about a plan, for the architectural-cost table and
 /// assertions.
@@ -152,30 +68,12 @@ pub struct McastPlan {
 pub fn try_plan_multicast(
     net: &Network,
     cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     source: NodeId,
     dests: NodeMask,
     message_flits: u32,
 ) -> Result<McastPlan, PlanError> {
-    SchemeRegistry::plan(scheme.into(), net, cfg, source, dests, message_flits)
-}
-
-/// Build the plan for one multicast.
-///
-/// Panics if `dests` is empty or contains `source` (the historical
-/// contract); use [`try_plan_multicast`] for typed errors.
-pub fn plan_multicast(
-    net: &Network,
-    cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
-    source: NodeId,
-    dests: NodeMask,
-    message_flits: u32,
-) -> McastPlan {
-    match try_plan_multicast(net, cfg, scheme, source, dests, message_flits) {
-        Ok(plan) => plan,
-        Err(e) => panic!("{e}"),
-    }
+    SchemeRegistry::plan(scheme, net, cfg, source, dests, message_flits)
 }
 
 #[cfg(test)]
@@ -191,11 +89,14 @@ mod tests {
         NodeMask::from_nodes((1..=8).map(NodeId))
     }
 
+    fn plan8(scheme: SchemeId) -> McastPlan {
+        let cfg = SimConfig::paper_default();
+        try_plan_multicast(&net(), &cfg, scheme, NodeId(0), dests8(), 128).unwrap()
+    }
+
     #[test]
     fn ubinomial_has_log_phases() {
-        let net = net();
-        let cfg = SimConfig::paper_default();
-        let p = plan_multicast(&net, &cfg, Scheme::UBinomial, NodeId(0), dests8(), 128);
+        let p = plan8(SchemeId::UBINOMIAL);
         assert_eq!(p.meta.worms, 8);
         // 9 nodes in the tree -> depth 4 (ceil(log2 9)).
         assert_eq!(p.meta.phases, 4);
@@ -216,9 +117,7 @@ mod tests {
 
     #[test]
     fn fpfs_plan_covers_all_destinations_via_ni_tables() {
-        let net = net();
-        let cfg = SimConfig::paper_default();
-        let p = plan_multicast(&net, &cfg, Scheme::NiFpfs, NodeId(0), dests8(), 128);
+        let p = plan8(SchemeId::NI_FPFS);
         assert!(p.meta.k >= 1);
         assert!(p.caps.ni_forwarding);
         let mut covered = NodeMask::EMPTY;
@@ -239,9 +138,7 @@ mod tests {
 
     #[test]
     fn tree_plan_is_single_phase() {
-        let net = net();
-        let cfg = SimConfig::paper_default();
-        let p = plan_multicast(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests8(), 128);
+        let p = plan8(SchemeId::TREE);
         assert_eq!(p.meta.worms, 1);
         assert_eq!(p.meta.phases, 1);
         assert_eq!(p.initial.len(), 1);
@@ -252,10 +149,8 @@ mod tests {
 
     #[test]
     fn path_plan_covers_exactly() {
-        let net = net();
-        let cfg = SimConfig::paper_default();
-        for scheme in [Scheme::PathGreedy, Scheme::PathLessGreedy] {
-            let p = plan_multicast(&net, &cfg, scheme, NodeId(0), dests8(), 128);
+        for scheme in [SchemeId::PATH_G, SchemeId::PATH_LG] {
+            let p = plan8(scheme);
             let mut covered = NodeMask::EMPTY;
             for s in p.initial.iter().chain(p.on_delivered.values().flatten()) {
                 let SendSpec::Path { spec } = s else { panic!("path send") };
@@ -268,38 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn scheme_names_are_stable() {
-        assert_eq!(Scheme::NiFpfs.name(), "ni-fpfs");
-        assert_eq!(Scheme::paper_three().len(), 3);
-        assert_eq!(Scheme::all().len(), 6);
-        for s in Scheme::all() {
-            assert_eq!(s.id().name(), s.name());
-            assert_eq!(Scheme::from_id(s.id()), Some(s));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "source among destinations")]
-    fn source_in_dests_panics() {
-        let net = net();
-        let cfg = SimConfig::paper_default();
-        let mut d = dests8();
-        d.insert(NodeId(0));
-        plan_multicast(&net, &cfg, Scheme::TreeWorm, NodeId(0), d, 128);
-    }
-
-    #[test]
     fn try_plan_reports_typed_precondition_errors() {
         let net = net();
         let cfg = SimConfig::paper_default();
-        let err = try_plan_multicast(
-            &net,
-            &cfg,
-            Scheme::TreeWorm,
-            NodeId(0),
-            NodeMask::EMPTY,
-            128,
-        );
+        let err = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), NodeMask::EMPTY, 128);
         assert_eq!(err.unwrap_err(), PlanError::EmptyDestinations);
     }
 }

@@ -6,25 +6,24 @@
 //! in that design space. Rather than a closed enum with behavior smeared
 //! across a giant `match`, each scheme is a plugin: an object implementing
 //! [`MulticastScheme`] that turns a [`PlanCtx`] into a
-//! [`McastPlan`](crate::plan::McastPlan), plus a pair of capability flags
+//! [`McastPlan`], plus a pair of capability flags
 //! ([`SchemeCaps`]) telling the runtime which hardware support the plan's
 //! side tables rely on.
 //!
 //! Plugins are interned into the [`SchemeRegistry`] under dense
 //! [`SchemeId`]s (same interning style as the engine's dense multicast
-//! ids). The six built-in schemes of the paper occupy ids `0..6` in
-//! [`Scheme::all()`](crate::plan::Scheme::all) order, so the legacy
-//! [`Scheme`](crate::plan::Scheme) enum converts to a `SchemeId` with a
-//! plain cast and every label, CSV column, and golden file keeps its
-//! byte-exact name. Downstream crates (workloads, collectives, harness)
-//! speak `SchemeId`; anything that could plan a multicast yesterday still
-//! compiles today because every entry point takes `impl Into<SchemeId>`.
+//! ids). The six built-in schemes of the paper occupy ids `0..6`, named
+//! by the constants [`SchemeId::UBINOMIAL`] through
+//! [`SchemeId::PATH_LG_NI`] and listed in id order by
+//! [`SchemeId::BUILTIN`]; custom plugins registered at runtime take the
+//! ids after them. Every label, CSV column, and golden file takes its
+//! name from the registry.
 //!
 //! # Adding a scheme
 //!
 //! ```
 //! use irrnet_core::schemes::{MulticastScheme, PlanCtx, PlanError, SchemeCaps, SchemeRegistry};
-//! use irrnet_core::{plan_multicast, McastPlan, Scheme};
+//! use irrnet_core::{try_plan_multicast, McastPlan, SchemeId};
 //! use std::sync::Arc;
 //!
 //! struct Echo; // trivially delegate to an existing scheme
@@ -32,8 +31,8 @@
 //!     fn name(&self) -> &str { "echo" }
 //!     fn caps(&self) -> SchemeCaps { SchemeCaps { ni_forwarding: false, switch_replication: true } }
 //!     fn plan(&self, ctx: &PlanCtx<'_>) -> Result<McastPlan, PlanError> {
-//!         SchemeRegistry::plan(Scheme::TreeWorm.id(), ctx.net, ctx.cfg, ctx.source,
-//!                              ctx.dests.clone(), ctx.message_flits)
+//!         try_plan_multicast(ctx.net, ctx.cfg, SchemeId::TREE, ctx.source,
+//!                            ctx.dests.clone(), ctx.message_flits)
 //!     }
 //! }
 //!
@@ -42,7 +41,7 @@
 //! assert_eq!(SchemeRegistry::resolve("echo"), Some(id));
 //! ```
 
-use crate::plan::{McastPlan, Scheme};
+use crate::plan::McastPlan;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{Network, NodeId, NodeMask};
 use std::collections::HashMap;
@@ -54,11 +53,50 @@ pub mod treeworm;
 
 /// Dense interned id of a registered scheme. Ids are assigned in
 /// registration order; the six built-ins always occupy `0..6` in
-/// [`Scheme::all()`] order.
+/// [`SchemeId::BUILTIN`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemeId(pub(crate) u16);
 
 impl SchemeId {
+    /// `ubinomial` — multi-phase software multicast over unicast: binomial
+    /// tree, ⌈log₂(d+1)⌉ phases, full host+NI overhead per hop (§3.1).
+    pub const UBINOMIAL: SchemeId = SchemeId(0);
+    /// `ni-fpfs` — NI-based multicast: optimal k-binomial tree with FPFS
+    /// smart-NI forwarding (§3.2.1).
+    pub const NI_FPFS: SchemeId = SchemeId(1);
+    /// `tree` — switch-based: one tree-based multidestination worm with a
+    /// bit-string header, single phase (§3.2.3).
+    pub const TREE: SchemeId = SchemeId(2);
+    /// `path-g` — switch-based: multi-drop path-based worms, greedy
+    /// covering (ablation baseline for MDP-LG).
+    pub const PATH_G: SchemeId = SchemeId(3);
+    /// `path-lg` — switch-based: multi-drop path-based worms, MDP-LG
+    /// covering and multi-phase scheduling (§3.2.4), the paper's
+    /// path-based scheme.
+    pub const PATH_LG: SchemeId = SchemeId(4);
+    /// `path-lg+ni` — MDP-LG path worms **with smart-NI forwarding**, the
+    /// combination the paper points at but does not evaluate ("a
+    /// multicasting scheme with enhanced support at the network interface
+    /// and the switches will perform better", §3; "the multi-phase
+    /// path-based multicasting scheme can also make use of support at the
+    /// NI", §4.2). Next-phase worms are injected by the leader's NI as
+    /// each packet arrives, skipping the host receive/send overheads
+    /// between phases.
+    pub const PATH_LG_NI: SchemeId = SchemeId(5);
+
+    /// Every built-in scheme, in id order.
+    pub const BUILTIN: [SchemeId; 6] = [
+        SchemeId::UBINOMIAL,
+        SchemeId::NI_FPFS,
+        SchemeId::TREE,
+        SchemeId::PATH_G,
+        SchemeId::PATH_LG,
+        SchemeId::PATH_LG_NI,
+    ];
+
+    /// The three enhanced schemes the paper's figures compare.
+    pub const PAPER_THREE: [SchemeId; 3] = [SchemeId::NI_FPFS, SchemeId::TREE, SchemeId::PATH_LG];
+
     /// Index into the registry's dense table.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -79,14 +117,6 @@ impl SchemeId {
 impl std::fmt::Display for SchemeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl From<Scheme> for SchemeId {
-    fn from(s: Scheme) -> SchemeId {
-        // Built-ins are registered in declaration order, so the enum
-        // discriminant *is* the dense id.
-        SchemeId(s as u16)
     }
 }
 
@@ -214,18 +244,18 @@ impl Inner {
 fn store() -> &'static RwLock<Inner> {
     static STORE: OnceLock<RwLock<Inner>> = OnceLock::new();
     STORE.get_or_init(|| {
+        // In `SchemeId::BUILTIN` order, so each constant names its plugin.
+        let builtins: [Arc<dyn MulticastScheme>; 6] = [
+            Arc::new(software::UBinomialScheme),
+            Arc::new(software::NiFpfsScheme),
+            Arc::new(treeworm::TreeWormScheme),
+            Arc::new(path::PathWormScheme::GREEDY),
+            Arc::new(path::PathWormScheme::LESS_GREEDY),
+            Arc::new(path::PathWormScheme::LESS_GREEDY_NI),
+        ];
         let mut inner = Inner::default();
-        for s in Scheme::all() {
-            let imp: Arc<dyn MulticastScheme> = match s {
-                Scheme::UBinomial => Arc::new(software::UBinomialScheme),
-                Scheme::NiFpfs => Arc::new(software::NiFpfsScheme),
-                Scheme::TreeWorm => Arc::new(treeworm::TreeWormScheme),
-                Scheme::PathGreedy => Arc::new(path::PathWormScheme::GREEDY),
-                Scheme::PathLessGreedy => Arc::new(path::PathWormScheme::LESS_GREEDY),
-                Scheme::PathLgNi => Arc::new(path::PathWormScheme::LESS_GREEDY_NI),
-            };
-            let id = inner.push(imp).expect("builtin scheme names are unique");
-            debug_assert_eq!(id, SchemeId(s as u16));
+        for imp in builtins {
+            inner.push(imp).expect("builtin scheme names are unique");
         }
         RwLock::new(inner)
     })
@@ -280,8 +310,9 @@ impl SchemeRegistry {
 
     /// Plan one multicast through a registered scheme: validate
     /// preconditions, run the plugin, stamp the plan with the id and the
-    /// registered capabilities.
-    pub fn plan(
+    /// registered capabilities. Callers outside the crate plan through
+    /// [`try_plan_multicast`](crate::plan::try_plan_multicast).
+    pub(crate) fn plan(
         id: SchemeId,
         net: &Network,
         cfg: &SimConfig,
@@ -323,25 +354,26 @@ mod tests {
     use irrnet_topology::zoo;
 
     #[test]
-    fn builtin_ids_are_dense_and_match_enum_order() {
-        for (i, s) in Scheme::all().into_iter().enumerate() {
-            let id: SchemeId = s.into();
+    fn builtin_names_are_pinned_in_id_order() {
+        let names: Vec<&str> = SchemeId::BUILTIN.iter().map(|id| id.name()).collect();
+        assert_eq!(names, ["ubinomial", "ni-fpfs", "tree", "path-g", "path-lg", "path-lg+ni"]);
+        for (i, id) in SchemeId::BUILTIN.into_iter().enumerate() {
             assert_eq!(id.index(), i);
-            assert_eq!(id.name(), s.name(), "label parity for {s:?}");
+            assert_eq!(SchemeRegistry::resolve(id.name()), Some(id));
         }
-        assert!(SchemeRegistry::len() >= 6);
+        let paper: Vec<&str> = SchemeId::PAPER_THREE.iter().map(|id| id.name()).collect();
+        assert_eq!(paper, ["ni-fpfs", "tree", "path-lg"]);
     }
 
     #[test]
     fn builtin_caps_match_the_paper_families() {
-        let caps = |s: Scheme| SchemeId::from(s).caps();
-        assert_eq!(caps(Scheme::UBinomial), SchemeCaps::default());
-        assert!(caps(Scheme::NiFpfs).ni_forwarding);
-        assert!(!caps(Scheme::NiFpfs).switch_replication);
-        assert!(caps(Scheme::TreeWorm).switch_replication);
-        assert!(!caps(Scheme::TreeWorm).ni_forwarding);
-        assert!(caps(Scheme::PathLessGreedy).switch_replication);
-        let hybrid = caps(Scheme::PathLgNi);
+        assert_eq!(SchemeId::UBINOMIAL.caps(), SchemeCaps::default());
+        assert!(SchemeId::NI_FPFS.caps().ni_forwarding);
+        assert!(!SchemeId::NI_FPFS.caps().switch_replication);
+        assert!(SchemeId::TREE.caps().switch_replication);
+        assert!(!SchemeId::TREE.caps().ni_forwarding);
+        assert!(SchemeId::PATH_LG.caps().switch_replication);
+        let hybrid = SchemeId::PATH_LG_NI.caps();
         assert!(hybrid.ni_forwarding && hybrid.switch_replication);
     }
 
@@ -349,7 +381,7 @@ mod tests {
     fn registry_plan_validates_preconditions() {
         let net = Network::analyze(zoo::chain(3).unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
-        let id = SchemeId::from(Scheme::TreeWorm);
+        let id = SchemeId::TREE;
         let err = SchemeRegistry::plan(id, &net, &cfg, NodeId(0), NodeMask::EMPTY, 128);
         assert_eq!(err.unwrap_err(), PlanError::EmptyDestinations);
         let err = SchemeRegistry::plan(

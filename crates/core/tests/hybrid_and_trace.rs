@@ -1,7 +1,7 @@
 //! Tests of the NI+switch hybrid scheme and of protocol-level ordering
 //! properties observable through the engine's trace log.
 
-use irrnet_core::{plan_multicast, Scheme, SchemeProtocol};
+use irrnet_core::{try_plan_multicast, SchemeId, SchemeProtocol};
 use irrnet_sim::{McastId, SimConfig, Simulator, TraceEvent};
 use irrnet_topology::{gen, Network, NodeId, NodeMask, RandomTopologyConfig};
 use std::sync::Arc;
@@ -13,12 +13,12 @@ fn net(seed: u64) -> Network {
 fn run(
     net: &Network,
     cfg: &SimConfig,
-    scheme: Scheme,
+    scheme: SchemeId,
     dests: NodeMask,
     msg: u32,
     trace: bool,
 ) -> (u64, Option<irrnet_sim::TraceLog>) {
-    let plan = plan_multicast(net, cfg, scheme, NodeId(0), dests.clone(), msg);
+    let plan = try_plan_multicast(net, cfg, scheme, NodeId(0), dests.clone(), msg).unwrap();
     let mut proto = SchemeProtocol::new();
     proto.add(McastId(0), Arc::new(plan));
     let mut sim = Simulator::new(net, cfg.clone(), proto).unwrap();
@@ -37,7 +37,9 @@ fn hybrid_delivers_exactly_like_plain_path() {
     for seed in 0..4 {
         let net = net(seed);
         let dests = NodeMask::from_nodes((4..=20).map(NodeId));
-        let plan = plan_multicast(&net, &cfg, Scheme::PathLgNi, NodeId(0), dests.clone(), 128);
+        let plan =
+            try_plan_multicast(&net, &cfg, SchemeId::PATH_LG_NI, NodeId(0), dests.clone(), 128)
+                .unwrap();
         assert!(
             !plan.ni_path_forwards.is_empty() || plan.initial.len() >= plan.meta.worms,
             "hybrid plan should use NI forwarding when there are multiple phases"
@@ -63,8 +65,8 @@ fn hybrid_beats_plain_path_scheme() {
         let mut plain = 0u64;
         for seed in 0..5 {
             let n = net(seed);
-            hybrid += run(&n, &cfg, Scheme::PathLgNi, dests.clone(), 128, false).0;
-            plain += run(&n, &cfg, Scheme::PathLessGreedy, dests.clone(), 128, false).0;
+            hybrid += run(&n, &cfg, SchemeId::PATH_LG_NI, dests.clone(), 128, false).0;
+            plain += run(&n, &cfg, SchemeId::PATH_LG, dests.clone(), 128, false).0;
         }
         assert!(
             hybrid < plain,
@@ -83,8 +85,8 @@ fn hybrid_multi_packet_pipelines_phases() {
     let mut ratio_sum = 0.0;
     for seed in 0..4 {
         let n = net(seed);
-        let (short, _) = run(&n, &cfg, Scheme::PathLgNi, dests.clone(), 128, false);
-        let (long, _) = run(&n, &cfg, Scheme::PathLgNi, dests.clone(), 2048, false);
+        let (short, _) = run(&n, &cfg, SchemeId::PATH_LG_NI, dests.clone(), 128, false);
+        let (long, _) = run(&n, &cfg, SchemeId::PATH_LG_NI, dests.clone(), 2048, false);
         ratio_sum += long as f64 / short as f64;
     }
     // 16x the flits must cost far less than 16x the latency.
@@ -97,7 +99,7 @@ fn fpfs_source_sends_packet_i_to_all_children_before_packet_i_plus_1() {
     let n = net(0);
     let dests = NodeMask::from_nodes((1..=12).map(NodeId));
     // 4-packet message so the FPFS order is observable.
-    let (_, trace) = run(&n, &cfg, Scheme::NiFpfs, dests, 512, true);
+    let (_, trace) = run(&n, &cfg, SchemeId::NI_FPFS, dests, 512, true);
     let log = trace.unwrap();
     // At the source (n0), WormQueued events must be sorted by packet
     // index in blocks: pkt 0 × k children, then pkt 1 × k, ...
@@ -130,7 +132,8 @@ fn hybrid_leaders_never_touch_their_host_cpu_for_forwarding() {
     let cfg = SimConfig::paper_default();
     let n = net(1);
     let dests = NodeMask::from_nodes((4..=20).map(NodeId));
-    let plan = plan_multicast(&n, &cfg, Scheme::PathLgNi, NodeId(0), dests.clone(), 128);
+    let plan =
+        try_plan_multicast(&n, &cfg, SchemeId::PATH_LG_NI, NodeId(0), dests.clone(), 128).unwrap();
     let leaders: Vec<NodeId> = plan.ni_path_forwards.keys().copied().collect();
     let mut proto = SchemeProtocol::new();
     proto.add(McastId(0), Arc::new(plan));

@@ -8,7 +8,7 @@
 //! the run is offline and replays identically.
 
 use irrnet_core::rng::SmallRng;
-use irrnet_core::{plan_multicast, LatencyModel, Scheme, SchemeProtocol};
+use irrnet_core::{try_plan_multicast, LatencyModel, SchemeId, SchemeProtocol};
 use irrnet_sim::{McastId, SimConfig, Simulator};
 use irrnet_topology::{gen, Network, NodeId, NodeMask, RandomTopologyConfig};
 use std::collections::HashMap;
@@ -48,7 +48,8 @@ fn unicast_model_matches_simulation_exactly() {
 
         let predicted = LatencyModel::new(net, &cfg).unicast(src, dst, msg);
 
-        let plan = plan_multicast(net, &cfg, Scheme::UBinomial, src, NodeMask::single(dst), msg);
+        let single = NodeMask::single(dst);
+        let plan = try_plan_multicast(net, &cfg, SchemeId::UBINOMIAL, src, single, msg).unwrap();
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(0), Arc::new(plan));
         let mut sim = Simulator::new(net, cfg, proto).unwrap();

@@ -5,7 +5,7 @@
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::rng::SmallRng;
-use irrnet_core::{plan_paths, PathVariant, Scheme};
+use irrnet_core::{plan_paths, PathVariant, SchemeId};
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 use irrnet_workloads::{mean_single_latency, random_mcast};
@@ -40,7 +40,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                     phases[i] += p.phases;
                 }
                 for (i, scheme) in
-                    [Scheme::PathGreedy, Scheme::PathLessGreedy].into_iter().enumerate()
+                    [SchemeId::PATH_G, SchemeId::PATH_LG].into_iter().enumerate()
                 {
                     lat[i] += mean_single_latency(&net, &cfg, scheme, 16, 128, 2, seed)?;
                 }

@@ -8,7 +8,7 @@ use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::kbinomial::McastTree;
 use irrnet_core::order::sort_by_rank;
 use irrnet_core::{
-    build_k_binomial, build_k_binomial_scattered, tree_link_loads, McastPlan, PlanMeta, Scheme,
+    build_k_binomial, build_k_binomial_scattered, tree_link_loads, McastPlan, PlanMeta, SchemeId,
     SchemeProtocol,
 };
 use irrnet_sim::{McastId, SendSpec, SimConfig, Simulator};
@@ -36,8 +36,8 @@ fn run_fpfs_tree(
         }
     }
     let plan = McastPlan {
-        scheme: Scheme::NiFpfs.id(),
-        caps: Scheme::NiFpfs.id().caps(),
+        scheme: SchemeId::NI_FPFS,
+        caps: SchemeId::NI_FPFS.caps(),
         source: tree.source,
         dests: dests.clone(),
         message_flits: msg,

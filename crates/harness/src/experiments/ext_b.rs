@@ -9,7 +9,7 @@
 
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
-use irrnet_core::Scheme;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 use irrnet_workloads::{run_load, LoadConfig};
@@ -60,7 +60,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             let mut lat_n = 0usize;
             let mut saturated = false;
             for net in nets.iter() {
-                let r = run_load(net, &sim, Scheme::UBinomial, &lc)?;
+                let r = run_load(net, &sim, SchemeId::UBINOMIAL, &lc)?;
                 // Delivered throughput = completed/launched × offered.
                 delivered += load * (r.completed as f64 / r.launched.max(1) as f64);
                 if let Some(l) = r.mean_latency {

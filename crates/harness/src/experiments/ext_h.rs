@@ -17,7 +17,7 @@
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::rng::SmallRng;
-use irrnet_core::Scheme;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{ExtraLinks, RandomTopologyConfig};
 use irrnet_workloads::{random_mcast, run_single};
@@ -86,7 +86,7 @@ pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
             let t0 = Instant::now();
             for _ in 0..TRIALS {
                 let (source, dests) = random_mcast(&mut rng, n, DEGREE);
-                let r = run_single(&net, &cfg, Scheme::TreeWorm, source, dests, MESSAGE_FLITS)?;
+                let r = run_single(&net, &cfg, SchemeId::TREE, source, dests, MESSAGE_FLITS)?;
                 cycles += r.cycles_run;
                 sweeps += r.sweeps_run;
             }

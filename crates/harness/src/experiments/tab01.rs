@@ -9,7 +9,7 @@ use irrnet_core::header::{
     bitstring_bytes, fpfs_ni_buffer_packets, header_costs, tree_scheme_switch_state_bits,
 };
 use irrnet_core::rng::SmallRng;
-use irrnet_core::plan_multicast;
+use irrnet_core::try_plan_multicast;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{NodeId, NodeMask, RandomTopologyConfig};
 use irrnet_workloads::random_mcast;
@@ -77,7 +77,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                 } else {
                     random_mcast(&mut rng, 32, degree)
                 };
-                let plan = plan_multicast(&net, &cfg, scheme, source, dests, 128);
+                let plan = try_plan_multicast(&net, &cfg, scheme, source, dests, 128)?;
                 let hc = header_costs(&net, &plan);
                 let bufs = fpfs_ni_buffer_packets(&plan);
                 let _ = writeln!(

@@ -749,7 +749,7 @@ pub fn atomic_write(path: &Path, content: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
 
     fn sample_header() -> CampaignHeader {
         CampaignHeader {
@@ -778,7 +778,7 @@ mod tests {
                 x_label: "destinations".into(),
                 y_label: "latency (cycles)".into(),
                 xs: vec![4.0, 8.0],
-                scheme: Scheme::TreeWorm.id(),
+                scheme: SchemeId::TREE,
                 order: 1,
                 ys: vec![Some(1234.5678901), None],
             },

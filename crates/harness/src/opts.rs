@@ -186,18 +186,18 @@ mod tests {
 
     #[test]
     fn scheme_filter_preserves_declaration_order() {
-        use irrnet_core::Scheme;
+        use irrnet_core::SchemeId;
         let declared =
-            vec![Scheme::UBinomial.id(), Scheme::TreeWorm.id(), Scheme::PathLessGreedy.id()];
+            vec![SchemeId::UBINOMIAL, SchemeId::TREE, SchemeId::PATH_LG];
         let mut o = CampaignOptions::quick();
         assert_eq!(o.select_schemes(&declared), declared, "no filter = identity");
-        o.schemes = Some(vec![Scheme::PathLessGreedy.id(), Scheme::UBinomial.id()]);
+        o.schemes = Some(vec![SchemeId::PATH_LG, SchemeId::UBINOMIAL]);
         assert_eq!(
             o.select_schemes(&declared),
-            vec![Scheme::UBinomial.id(), Scheme::PathLessGreedy.id()],
+            vec![SchemeId::UBINOMIAL, SchemeId::PATH_LG],
             "declaration order wins over filter order"
         );
-        o.schemes = Some(vec![Scheme::NiFpfs.id()]);
+        o.schemes = Some(vec![SchemeId::NI_FPFS]);
         assert!(o.select_schemes(&declared).is_empty());
     }
 

@@ -109,14 +109,14 @@ pub fn named(names: &[&str]) -> Vec<SchemeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
 
     #[test]
     fn demo_scheme_registers_once_with_a_dense_id() {
         ensure_demo_schemes();
         ensure_demo_schemes();
         let id = SchemeRegistry::resolve(CAPPED_TREE_NAME).unwrap();
-        assert!(id.index() >= Scheme::all().len(), "demo ids come after the built-ins");
+        assert!(id.index() >= SchemeId::BUILTIN.len(), "demo ids come after the built-ins");
         assert_eq!(id.name(), CAPPED_TREE_NAME);
         assert!(!id.caps().ni_forwarding);
         assert!(id.caps().switch_replication);
@@ -125,6 +125,6 @@ mod tests {
     #[test]
     fn named_resolves_builtins_in_declaration_order() {
         let ids = named(&["tree", "ubinomial"]);
-        assert_eq!(ids, vec![Scheme::TreeWorm.id(), Scheme::UBinomial.id()]);
+        assert_eq!(ids, vec![SchemeId::TREE, SchemeId::UBINOMIAL]);
     }
 }

@@ -40,7 +40,7 @@ fn sample_journal() -> (CampaignHeader, String) {
             x_label: "destinations".into(),
             y_label: "latency (cycles)".into(),
             xs: vec![4.0, 8.0],
-            scheme: irrnet_core::Scheme::TreeWorm.id(),
+            scheme: irrnet_core::SchemeId::TREE,
             order: 1,
             ys: vec![Some(1234.5678901), None],
         },

@@ -6,7 +6,7 @@
 //! behind the `ni_forwarding` capability).
 
 use irrnet_core::rng::SmallRng;
-use irrnet_core::{try_plan_multicast, Scheme, SchemeRegistry};
+use irrnet_core::{try_plan_multicast, SchemeId, SchemeRegistry};
 use irrnet_harness::schemes::ensure_demo_schemes;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{gen, Network, NodeId, NodeMask, RandomTopologyConfig};
@@ -18,7 +18,7 @@ fn every_registered_scheme_delivers_on_random_topologies() {
     let cfg = SimConfig::paper_default();
     let schemes = SchemeRegistry::all();
     assert!(
-        schemes.len() > Scheme::all().len(),
+        schemes.len() > SchemeId::BUILTIN.len(),
         "the demo plugin must be registered alongside the built-ins"
     );
     for seed in 0..3u64 {
@@ -65,7 +65,7 @@ fn demo_scheme_caps_the_source_fanout() {
     )
     .unwrap();
     let capped = SchemeRegistry::resolve("tree-cap4").unwrap();
-    let tree = Scheme::TreeWorm.id();
+    let tree = SchemeId::TREE;
     for degree in [2usize, 5, 16, 31] {
         let dests = NodeMask::from_nodes((1..=degree as u16).map(NodeId));
         let plan = try_plan_multicast(&net, &cfg, capped, NodeId(0), dests.clone(), 128).unwrap();

@@ -55,13 +55,3 @@ pub use protocol::{NullProtocol, Protocol, ProtocolError, StaticProtocol};
 pub use stats::{McastRecord, NetCounters, SimStats};
 pub use trace::{TraceEvent, TraceLog};
 pub use worm::{McastId, PathStop, PathWormSpec, RouteInfo, SendSpec, WormCopy};
-
-/// Common imports for downstream crates.
-pub mod prelude {
-    pub use crate::config::{Cycle, LinkRetryPolicy, RetxPolicy, SimConfig};
-    pub use crate::engine::Simulator;
-    pub use crate::error::{DeadlockDiagnostics, SimError};
-    pub use crate::protocol::{NullProtocol, Protocol, ProtocolError, StaticProtocol};
-    pub use crate::stats::SimStats;
-    pub use crate::worm::{McastId, PathStop, PathWormSpec, SendSpec, WormCopy};
-}

@@ -60,22 +60,6 @@ pub use reach::{ReachSet, Reachability};
 pub use routing::{Phase, PortCandidate, RoutingTables};
 pub use updown::UpDown;
 
-/// Everything a downstream crate typically needs, in one import.
-pub mod prelude {
-    pub use crate::apex::ApexPlan;
-    pub use crate::builder::TopologyBuilder;
-    pub use crate::error::TopologyError;
-    pub use crate::fault::{ErrorModel, FaultEvent, FaultKind, FaultPlan, FaultStatus, FlitFate, RandomFaultConfig};
-    pub use crate::gen::{self, RandomTopologyConfig};
-    pub use crate::graph::{Link, PortUse, Switch, Topology};
-    pub use crate::ids::{LinkId, NodeId, PortIdx, SwitchId};
-    pub use crate::mask::NodeMask;
-    pub use crate::reach::{ReachSet, Reachability};
-    pub use crate::routing::{Phase, PortCandidate, RoutingTables};
-    pub use crate::updown::UpDown;
-    pub use crate::zoo;
-}
-
 /// A fully analyzed network: the topology plus every derived routing
 /// structure the simulator and the multicast planners consume.
 ///

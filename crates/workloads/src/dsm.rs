@@ -123,7 +123,7 @@ pub fn generate_trace(num_nodes: usize, cfg: &DsmConfig) -> Result<Vec<Launch>, 
 pub fn run_dsm(
     net: &Network,
     sim_cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     cfg: &DsmConfig,
 ) -> Result<LoadResult, WorkloadError> {
     let trace = generate_trace(net.topo.num_nodes(), cfg)?;
@@ -136,7 +136,7 @@ pub fn run_dsm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::{gen, RandomTopologyConfig};
 
     fn net() -> Network {
@@ -184,7 +184,7 @@ mod tests {
     fn invalidations_complete_under_hardware_multicast() {
         let net = net();
         let sim_cfg = SimConfig::paper_default();
-        let r = run_dsm(&net, &sim_cfg, Scheme::TreeWorm, &DsmConfig::default()).unwrap();
+        let r = run_dsm(&net, &sim_cfg, SchemeId::TREE, &DsmConfig::default()).unwrap();
         assert!(r.launched > 0);
         assert!(!r.saturated, "{r:?}");
         let s = r.latency.unwrap();
@@ -196,8 +196,8 @@ mod tests {
     fn tree_based_invalidation_beats_software_multicast() {
         let net = net();
         let sim_cfg = SimConfig::paper_default();
-        let tree = run_dsm(&net, &sim_cfg, Scheme::TreeWorm, &DsmConfig::default()).unwrap();
-        let ub = run_dsm(&net, &sim_cfg, Scheme::UBinomial, &DsmConfig::default()).unwrap();
+        let tree = run_dsm(&net, &sim_cfg, SchemeId::TREE, &DsmConfig::default()).unwrap();
+        let ub = run_dsm(&net, &sim_cfg, SchemeId::UBINOMIAL, &DsmConfig::default()).unwrap();
         let (t, u) = (tree.latency.unwrap(), ub.latency.unwrap());
         assert!(
             t.mean < u.mean,

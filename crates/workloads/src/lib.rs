@@ -22,7 +22,7 @@
 //! this crate; using it directly looks like:
 //!
 //! ```
-//! use irrnet_core::Scheme;
+//! use irrnet_core::SchemeId;
 //! use irrnet_sim::SimConfig;
 //! use irrnet_topology::{gen, Network, RandomTopologyConfig};
 //! use irrnet_workloads::single::mean_single_latency;
@@ -31,7 +31,7 @@
 //!     gen::generate(&RandomTopologyConfig::paper_default(0)).unwrap(),
 //! ).unwrap();
 //! let cfg = SimConfig::paper_default();
-//! let lat = mean_single_latency(&net, &cfg, Scheme::TreeWorm, 8, 128, 3, 0).unwrap();
+//! let lat = mean_single_latency(&net, &cfg, SchemeId::TREE, 8, 128, 3, 0).unwrap();
 //! assert!(lat > 0.0);
 //! ```
 

@@ -29,7 +29,8 @@ pub struct LoadConfig {
     pub degree: usize,
     /// Message length in flits.
     pub message_flits: u32,
-    /// Effective applied load (per-node injection load × degree).
+    /// Effective applied load (per-node injection load × degree). The
+    /// per-node injection load is a fraction of the link and at most 1.
     pub effective_load: f64,
     /// Cold-start cycles excluded from measurement (paper: 100,000).
     pub warmup: Cycle,
@@ -100,12 +101,22 @@ pub struct LoadResult {
 pub fn run_load(
     net: &Network,
     cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     lc: &LoadConfig,
 ) -> Result<LoadResult, WorkloadError> {
     let n = net.topo.num_nodes();
     check_shape(lc.degree, n, lc.message_flits)?;
     check_rate("effective load", lc.effective_load)?;
+    // A host cannot inject more payload than its link carries. Checking
+    // this before drawing also bounds the arrivals drawn below at about
+    // hosts × horizon / message_flits.
+    let per_node = lc.effective_load / lc.degree as f64;
+    if per_node > 1.0 {
+        return Err(WorkloadError::Input(format!(
+            "effective load {} at degree {} is a per-node injection load of {per_node}, above 1",
+            lc.effective_load, lc.degree
+        )));
+    }
     let rate = lc.msgs_per_cycle_per_node();
     let horizon = lc.warmup + lc.measure;
     let mut rng = SmallRng::seed_from_u64(lc.seed);
@@ -173,7 +184,7 @@ pub(crate) fn window(stats: &SimStats, from: Cycle, to: Cycle, stream: bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::zoo;
 
     fn quick_lc(load: f64) -> LoadConfig {
@@ -193,10 +204,10 @@ mod tests {
     fn streaming_stats_agree_with_exact_path() {
         let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
-        let exact = run_load(&net, &cfg, Scheme::TreeWorm, &quick_lc(0.1)).unwrap();
+        let exact = run_load(&net, &cfg, SchemeId::TREE, &quick_lc(0.1)).unwrap();
         let mut lc = quick_lc(0.1);
         lc.stream_stats = true;
-        let streamed = run_load(&net, &cfg, Scheme::TreeWorm, &lc).unwrap();
+        let streamed = run_load(&net, &cfg, SchemeId::TREE, &lc).unwrap();
         // The run itself is identical; only the summary path differs.
         assert_eq!(exact.launched, streamed.launched);
         assert_eq!(exact.completed, streamed.completed);
@@ -216,7 +227,7 @@ mod tests {
     fn light_load_is_unsaturated_and_near_isolated_latency() {
         let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
-        let r = run_load(&net, &cfg, Scheme::TreeWorm, &quick_lc(0.02)).unwrap();
+        let r = run_load(&net, &cfg, SchemeId::TREE, &quick_lc(0.02)).unwrap();
         assert!(!r.saturated, "{r:?}");
         assert!(r.launched > 0);
         let lat = r.mean_latency.unwrap();
@@ -230,7 +241,7 @@ mod tests {
         let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
         // Far beyond the unicast saturation point of ~0.8.
-        let r = run_load(&net, &cfg, Scheme::UBinomial, &quick_lc(3.0)).unwrap();
+        let r = run_load(&net, &cfg, SchemeId::UBINOMIAL, &quick_lc(3.0)).unwrap();
         assert!(r.saturated, "{r:?}");
     }
 
@@ -238,8 +249,8 @@ mod tests {
     fn latency_grows_with_load() {
         let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
-        let lo = run_load(&net, &cfg, Scheme::TreeWorm, &quick_lc(0.02)).unwrap();
-        let hi = run_load(&net, &cfg, Scheme::TreeWorm, &quick_lc(0.4)).unwrap();
+        let lo = run_load(&net, &cfg, SchemeId::TREE, &quick_lc(0.02)).unwrap();
+        let hi = run_load(&net, &cfg, SchemeId::TREE, &quick_lc(0.4)).unwrap();
         assert!(
             hi.mean_latency.unwrap() > lo.mean_latency.unwrap(),
             "lo={lo:?} hi={hi:?}"
@@ -259,9 +270,10 @@ mod tests {
             quick_lc(-1.0),
             quick_lc(f64::NAN),
             quick_lc(f64::INFINITY),
+            quick_lc(1e9),
         ];
         for lc in &bad {
-            let r = run_load(&net, &cfg, Scheme::TreeWorm, lc);
+            let r = run_load(&net, &cfg, SchemeId::TREE, lc);
             assert!(matches!(r, Err(WorkloadError::Input(_))), "{lc:?}: {r:?}");
         }
     }

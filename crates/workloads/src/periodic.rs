@@ -118,7 +118,7 @@ pub struct PeriodicResult {
 pub fn run_periodic(
     net: &Network,
     cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     pc: &PeriodicConfig,
 ) -> Result<PeriodicResult, WorkloadError> {
     let n = net.topo.num_nodes();
@@ -167,7 +167,7 @@ pub fn run_periodic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::zoo;
 
     fn net() -> Network {
@@ -193,7 +193,7 @@ mod tests {
             PeriodicConfig { degree: n, ..PeriodicConfig::faulted(0) },
             PeriodicConfig { message_flits: 0, ..PeriodicConfig::faulted(0) },
         ] {
-            let r = run_periodic(&net, &cfg(), Scheme::TreeWorm, &pc);
+            let r = run_periodic(&net, &cfg(), SchemeId::TREE, &pc);
             assert!(matches!(r, Err(WorkloadError::Input(_))), "{pc:?}: {r:?}");
         }
     }
@@ -207,7 +207,7 @@ mod tests {
 
         #[test]
         fn zero_kills_is_lossless() {
-            let r = run_periodic(&net(), &cfg(), Scheme::TreeWorm, &faulted(0)).unwrap();
+            let r = run_periodic(&net(), &cfg(), SchemeId::TREE, &faulted(0)).unwrap();
             assert_eq!(r.delivery_ratio, 1.0, "{r:?}");
             assert_eq!(r.completed, r.launched);
             assert_eq!(r.net.flits_dropped, 0);
@@ -218,16 +218,16 @@ mod tests {
         #[test]
         fn faulted_runs_are_deterministic_per_seed() {
             let net = net();
-            for scheme in [Scheme::TreeWorm, Scheme::NiFpfs, Scheme::UBinomial] {
+            for scheme in [SchemeId::TREE, SchemeId::NI_FPFS, SchemeId::UBINOMIAL] {
                 let a = run_periodic(&net, &cfg(), scheme, &faulted(3)).unwrap();
                 let b = run_periodic(&net, &cfg(), scheme, &faulted(3)).unwrap();
-                assert_eq!(a, b, "{scheme:?}");
+                assert_eq!(a, b, "{scheme}");
             }
         }
 
         #[test]
         fn kills_cause_losses_and_recovery_activity() {
-            let r = run_periodic(&net(), &cfg(), Scheme::TreeWorm, &faulted(4)).unwrap();
+            let r = run_periodic(&net(), &cfg(), SchemeId::TREE, &faulted(4)).unwrap();
             // Something must have died mid-flight across 12 multicasts
             // with 4 kills in the launch window.
             assert!(r.net.worms_killed > 0 || r.net.flits_dropped > 0, "{r:?}");
@@ -239,8 +239,8 @@ mod tests {
             let net = net();
             let with = PeriodicConfig { retx: true, ..faulted(4) };
             let without = PeriodicConfig { retx: false, ..faulted(4) };
-            let a = run_periodic(&net, &cfg(), Scheme::UBinomial, &with).unwrap();
-            let b = run_periodic(&net, &cfg(), Scheme::UBinomial, &without).unwrap();
+            let a = run_periodic(&net, &cfg(), SchemeId::UBINOMIAL, &with).unwrap();
+            let b = run_periodic(&net, &cfg(), SchemeId::UBINOMIAL, &without).unwrap();
             assert!(a.delivery_ratio >= b.delivery_ratio, "with={a:?} without={b:?}");
         }
     }
@@ -257,7 +257,7 @@ mod tests {
         fn zero_rate_is_lossless_and_error_free() {
             // Recovery mechanisms armed but never triggered: a zero-rate
             // model must leave them (and the run) completely inert.
-            let r = run_periodic(&net(), &cfg(), Scheme::TreeWorm, &transient(0, true, true))
+            let r = run_periodic(&net(), &cfg(), SchemeId::TREE, &transient(0, true, true))
                 .unwrap();
             assert_eq!(r.delivery_ratio, 1.0, "{r:?}");
             assert_eq!(r.completed, r.launched);
@@ -276,8 +276,8 @@ mod tests {
             let net = net();
             for (lr, retx) in [(false, false), (true, false), (false, true), (true, true)] {
                 let pc = transient(2_000_000, lr, retx);
-                let a = run_periodic(&net, &cfg(), Scheme::UBinomial, &pc);
-                let b = run_periodic(&net, &cfg(), Scheme::UBinomial, &pc);
+                let a = run_periodic(&net, &cfg(), SchemeId::UBINOMIAL, &pc);
+                let b = run_periodic(&net, &cfg(), SchemeId::UBINOMIAL, &pc);
                 assert_eq!(a.unwrap(), b.unwrap(), "link_retry={lr} retx={retx}");
             }
         }
@@ -285,7 +285,7 @@ mod tests {
         #[test]
         fn damage_without_recovery_loses_deliveries() {
             let pc = transient(5_000_000, false, false);
-            let r = run_periodic(&net(), &cfg(), Scheme::TreeWorm, &pc).unwrap();
+            let r = run_periodic(&net(), &cfg(), SchemeId::TREE, &pc).unwrap();
             let damaged = r.net.flits_corrupted + r.net.flits_dropped_transient;
             assert!(damaged > 0, "{r:?}");
             assert!(r.net.worms_killed > 0, "{r:?}");
@@ -299,7 +299,7 @@ mod tests {
             // a budget-exhausting failure streak is negligible: every
             // worm must arrive, purely via link-level replays.
             let pc = transient(2_000_000, true, false);
-            let r = run_periodic(&net(), &cfg(), Scheme::UBinomial, &pc).unwrap();
+            let r = run_periodic(&net(), &cfg(), SchemeId::UBINOMIAL, &pc).unwrap();
             assert!(r.net.link_retries > 0, "{r:?}");
             assert_eq!(r.net.retry_exhaustions, 0, "{r:?}");
             assert_eq!(r.delivery_ratio, 1.0, "{r:?}");
@@ -311,8 +311,8 @@ mod tests {
             let net = net();
             let with = transient(5_000_000, false, true);
             let without = transient(5_000_000, false, false);
-            let with = run_periodic(&net, &cfg(), Scheme::UBinomial, &with).unwrap();
-            let without = run_periodic(&net, &cfg(), Scheme::UBinomial, &without).unwrap();
+            let with = run_periodic(&net, &cfg(), SchemeId::UBINOMIAL, &with).unwrap();
+            let without = run_periodic(&net, &cfg(), SchemeId::UBINOMIAL, &without).unwrap();
             assert!(
                 with.delivery_ratio >= without.delivery_ratio,
                 "with={with:?} without={without:?}"
@@ -333,7 +333,7 @@ mod tests {
                 horizon: 1_000_000,
                 ..transient(600_000_000, true, true)
             };
-            let r = run_periodic(&net(), &cfg(), Scheme::UBinomial, &pc).unwrap();
+            let r = run_periodic(&net(), &cfg(), SchemeId::UBINOMIAL, &pc).unwrap();
             assert!(r.net.retry_exhaustions > 0, "{r:?}");
             assert!(r.net.link_retries > 0, "{r:?}");
             assert!(r.net.worms_killed > 0, "{r:?}");

@@ -24,9 +24,9 @@ impl Series {
     }
 
     /// Add one scheme's column of y values.
-    pub fn push(&mut self, scheme: impl Into<SchemeId>, ys: Vec<Option<f64>>) {
+    pub fn push(&mut self, scheme: SchemeId, ys: Vec<Option<f64>>) {
         assert_eq!(ys.len(), self.xs.len(), "series length mismatch");
-        self.series.push((scheme.into(), ys));
+        self.series.push((scheme, ys));
     }
 
     /// Aligned human-readable table.
@@ -96,12 +96,12 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
 
     fn sample() -> Series {
         let mut s = Series::new("destinations", "latency", vec![4.0, 8.0]);
-        s.push(Scheme::TreeWorm, vec![Some(100.0), Some(150.0)]);
-        s.push(Scheme::NiFpfs, vec![Some(200.0), None]);
+        s.push(SchemeId::TREE, vec![Some(100.0), Some(150.0)]);
+        s.push(SchemeId::NI_FPFS, vec![Some(200.0), None]);
         s
     }
 
@@ -127,27 +127,27 @@ mod tests {
     #[test]
     fn winners_ignore_saturated() {
         let w = sample().winners();
-        assert_eq!(w, vec![Some(Scheme::TreeWorm.id()), Some(Scheme::TreeWorm.id())]);
+        assert_eq!(w, vec![Some(SchemeId::TREE), Some(SchemeId::TREE)]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_series_panics() {
         let mut s = Series::new("x", "y", vec![1.0]);
-        s.push(Scheme::TreeWorm, vec![Some(1.0), Some(2.0)]);
+        s.push(SchemeId::TREE, vec![Some(1.0), Some(2.0)]);
     }
 }
 
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
 
     #[test]
     fn winners_handle_fully_saturated_rows() {
         let mut s = Series::new("x", "y", vec![1.0]);
-        s.push(Scheme::TreeWorm, vec![None]);
-        s.push(Scheme::NiFpfs, vec![None]);
+        s.push(SchemeId::TREE, vec![None]);
+        s.push(SchemeId::NI_FPFS, vec![None]);
         assert_eq!(s.winners(), vec![None]);
     }
 

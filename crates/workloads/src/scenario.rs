@@ -143,7 +143,7 @@ impl<'n> Scenario<'n> {
     pub fn new(
         net: &'n Network,
         cfg: &SimConfig,
-        scheme: impl Into<SchemeId>,
+        scheme: SchemeId,
         message_flits: u32,
         launches: Vec<Launch>,
         stop: Stop,
@@ -151,7 +151,7 @@ impl<'n> Scenario<'n> {
         Scenario {
             net,
             cfg: cfg.clone(),
-            scheme: scheme.into(),
+            scheme,
             message_flits,
             launches,
             faults: None,
@@ -212,7 +212,7 @@ impl<'n> Scenario<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::zoo;
 
     fn net() -> Network {
@@ -228,7 +228,7 @@ mod tests {
         let net = net();
         let cfg = SimConfig::paper_default();
         let run = |launches, flits| {
-            Scenario::new(&net, &cfg, Scheme::TreeWorm, flits, launches, Stop::Complete(1 << 30))
+            Scenario::new(&net, &cfg, SchemeId::TREE, flits, launches, Stop::Complete(1 << 30))
                 .run()
                 .unwrap_err()
         };
@@ -252,7 +252,7 @@ mod tests {
         let s = Scenario::new(
             &net,
             &cfg,
-            Scheme::TreeWorm,
+            SchemeId::TREE,
             128,
             one(NodeMask::from_nodes((1..=4).map(NodeId))),
             Stop::Complete(10),

@@ -29,7 +29,7 @@ pub struct SingleResult {
 pub fn run_single(
     net: &Network,
     cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     source: NodeId,
     dests: NodeMask,
     message_flits: u32,
@@ -77,13 +77,12 @@ pub fn random_dests(
 pub fn mean_single_latency(
     net: &Network,
     cfg: &SimConfig,
-    scheme: impl Into<SchemeId>,
+    scheme: SchemeId,
     degree: usize,
     message_flits: u32,
     trials: usize,
     seed: u64,
 ) -> Result<f64, WorkloadError> {
-    let scheme = scheme.into();
     check_shape(degree, net.topo.num_nodes(), message_flits)?;
     if trials == 0 {
         return Err(WorkloadError::Input("a mean needs at least one trial".into()));
@@ -100,7 +99,7 @@ pub fn mean_single_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::zoo;
 
     #[test]
@@ -108,7 +107,7 @@ mod tests {
         let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
         let dests = NodeMask::from_nodes((1..=4).map(NodeId));
-        let r = run_single(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests, 128).unwrap();
+        let r = run_single(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128).unwrap();
         assert!(r.latency > 0);
         assert_eq!(r.meta.worms, 1);
     }
@@ -127,8 +126,8 @@ mod tests {
     fn mean_is_deterministic_per_seed() {
         let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
         let cfg = SimConfig::paper_default();
-        let a = mean_single_latency(&net, &cfg, Scheme::NiFpfs, 6, 128, 3, 42).unwrap();
-        let b = mean_single_latency(&net, &cfg, Scheme::NiFpfs, 6, 128, 3, 42).unwrap();
+        let a = mean_single_latency(&net, &cfg, SchemeId::NI_FPFS, 6, 128, 3, 42).unwrap();
+        let b = mean_single_latency(&net, &cfg, SchemeId::NI_FPFS, 6, 128, 3, 42).unwrap();
         assert_eq!(a, b);
     }
 
@@ -138,7 +137,7 @@ mod tests {
         let cfg = SimConfig::paper_default();
         let n = net.topo.num_nodes();
         for (degree, flits, trials) in [(0, 128, 3), (n, 128, 3), (4, 0, 3), (4, 128, 0)] {
-            let r = mean_single_latency(&net, &cfg, Scheme::TreeWorm, degree, flits, trials, 1);
+            let r = mean_single_latency(&net, &cfg, SchemeId::TREE, degree, flits, trials, 1);
             assert!(matches!(r, Err(WorkloadError::Input(_))), "{degree} {flits} {trials}: {r:?}");
         }
     }

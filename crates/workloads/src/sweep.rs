@@ -141,7 +141,7 @@ pub fn single_sweep_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irrnet_core::Scheme;
+    use irrnet_core::SchemeId;
     use irrnet_topology::{gen, RandomTopologyConfig};
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
             })
             .collect();
         let point = |degree| SinglePoint {
-            scheme: Scheme::TreeWorm.id(),
+            scheme: SchemeId::TREE,
             degree,
             message_flits: 128,
             sim: SimConfig::paper_default(),

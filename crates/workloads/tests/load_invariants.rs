@@ -1,7 +1,7 @@
 //! Invariants of the load harness: accounting consistency, monotonicity
 //! in the offered load, and distribution sanity.
 
-use irrnet_core::Scheme;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{gen, Network, RandomTopologyConfig};
 use irrnet_workloads::{run_load, LoadConfig};
@@ -27,7 +27,7 @@ fn lc(load: f64) -> LoadConfig {
 fn accounting_is_consistent() {
     let net = net();
     let cfg = SimConfig::paper_default();
-    let r = run_load(&net, &cfg, Scheme::TreeWorm, &lc(0.05)).unwrap();
+    let r = run_load(&net, &cfg, SchemeId::TREE, &lc(0.05)).unwrap();
     assert!(r.completed <= r.launched);
     assert!(r.launched > 0);
     let s = r.latency.expect("some completions");
@@ -43,8 +43,8 @@ fn accounting_is_consistent() {
 fn launched_count_scales_with_load() {
     let net = net();
     let cfg = SimConfig::paper_default();
-    let a = run_load(&net, &cfg, Scheme::TreeWorm, &lc(0.02)).unwrap();
-    let b = run_load(&net, &cfg, Scheme::TreeWorm, &lc(0.08)).unwrap();
+    let a = run_load(&net, &cfg, SchemeId::TREE, &lc(0.02)).unwrap();
+    let b = run_load(&net, &cfg, SchemeId::TREE, &lc(0.08)).unwrap();
     // 4x the offered load ⇒ roughly 4x the generated multicasts.
     let ratio = b.launched as f64 / a.launched.max(1) as f64;
     assert!((2.5..6.0).contains(&ratio), "ratio {ratio:.2}");
@@ -54,8 +54,8 @@ fn launched_count_scales_with_load() {
 fn same_seed_same_result() {
     let net = net();
     let cfg = SimConfig::paper_default();
-    let a = run_load(&net, &cfg, Scheme::PathLessGreedy, &lc(0.05)).unwrap();
-    let b = run_load(&net, &cfg, Scheme::PathLessGreedy, &lc(0.05)).unwrap();
+    let a = run_load(&net, &cfg, SchemeId::PATH_LG, &lc(0.05)).unwrap();
+    let b = run_load(&net, &cfg, SchemeId::PATH_LG, &lc(0.05)).unwrap();
     assert_eq!(a.launched, b.launched);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.mean_latency, b.mean_latency);
@@ -67,7 +67,7 @@ fn degree_one_load_is_plain_unicast_traffic() {
     let cfg = SimConfig::paper_default();
     let mut c = lc(0.02);
     c.degree = 1;
-    let r = run_load(&net, &cfg, Scheme::UBinomial, &c).unwrap();
+    let r = run_load(&net, &cfg, SchemeId::UBINOMIAL, &c).unwrap();
     assert!(!r.saturated);
     // A lone unicast at these parameters is ~2.3k cycles; light load must
     // be in that ballpark.

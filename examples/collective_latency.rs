@@ -30,10 +30,10 @@ fn main() {
         dests.remove(source);
         print!("{nodes:>8} {switches:>10}");
         for scheme in [
-            Scheme::UBinomial,
-            Scheme::NiFpfs,
-            Scheme::TreeWorm,
-            Scheme::PathLessGreedy,
+            SchemeId::UBINOMIAL,
+            SchemeId::NI_FPFS,
+            SchemeId::TREE,
+            SchemeId::PATH_LG,
         ] {
             let r = run_single(&net, &cfg, scheme, source, dests.clone(), 128).unwrap();
             print!(" {:>12}", r.latency);
@@ -47,7 +47,7 @@ fn main() {
     let net = Network::analyze(gen::generate(&RandomTopologyConfig::paper_default(7)).unwrap())
         .unwrap();
     let members = NodeMask::all(32);
-    for scheme in Scheme::all() {
+    for scheme in SchemeId::BUILTIN {
         let r = run_collective(
             &net,
             &cfg,
@@ -69,7 +69,7 @@ fn main() {
     }
     println!();
     println!("allreduce of a 128-flit vector:");
-    for scheme in [Scheme::UBinomial, Scheme::NiFpfs, Scheme::TreeWorm, Scheme::PathLessGreedy] {
+    for scheme in [SchemeId::UBINOMIAL, SchemeId::NI_FPFS, SchemeId::TREE, SchemeId::PATH_LG] {
         let r = run_collective(
             &net,
             &cfg,

@@ -22,7 +22,7 @@ fn main() {
     );
 
     let dests = NodeMask::from_nodes((1..=16).map(NodeId));
-    let baseline: Vec<(Scheme, u64)> = Scheme::paper_three()
+    let baseline: Vec<(SchemeId, u64)> = SchemeId::PAPER_THREE
         .into_iter()
         .map(|s| (s, run_single(&net, &cfg, s, NodeId(0), dests.clone(), 128).unwrap().latency))
         .collect();

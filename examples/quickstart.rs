@@ -38,7 +38,7 @@ fn main() {
         "{:>12} {:>12} {:>8} {:>8} {:>6}",
         "scheme", "latency", "worms", "phases", "k"
     );
-    for scheme in Scheme::all() {
+    for scheme in SchemeId::BUILTIN {
         let r = run_single(&net, &cfg, scheme, source, dests.clone(), 128).expect("run completes");
         println!(
             "{:>12} {:>12} {:>8} {:>8} {:>6}",

@@ -17,14 +17,14 @@ fn main() {
     let cfg = SimConfig::paper_default();
     println!("8-way multicast latency (cycles) vs. effective applied load, R = 1\n");
     print!("{:>10}", "load");
-    for s in Scheme::paper_three() {
+    for s in SchemeId::PAPER_THREE {
         print!(" {:>12}", s.name());
     }
     println!();
-    let mut first_sat: Vec<Option<f64>> = vec![None; Scheme::paper_three().len()];
+    let mut first_sat: Vec<Option<f64>> = vec![None; SchemeId::PAPER_THREE.len()];
     for &load in LOADS {
         print!("{load:>10.2}");
-        for (i, scheme) in Scheme::paper_three().into_iter().enumerate() {
+        for (i, scheme) in SchemeId::PAPER_THREE.into_iter().enumerate() {
             let mut lc = LoadConfig::paper_default(8, load);
             lc.warmup = 50_000;
             lc.measure = 300_000;
@@ -46,7 +46,7 @@ fn main() {
     }
     println!("\n(* = saturated: fewer than 90% of generated multicasts completed)");
     println!("\nfirst saturated load point:");
-    for (scheme, sat) in Scheme::paper_three().into_iter().zip(first_sat) {
+    for (scheme, sat) in SchemeId::PAPER_THREE.into_iter().zip(first_sat) {
         match sat {
             Some(l) => println!("  {:>10}: {l}", scheme.name()),
             None => println!("  {:>10}: beyond {}", scheme.name(), LOADS.last().unwrap()),

@@ -1,22 +1,37 @@
 #!/bin/bash
 # Regenerate every figure/table CSV through the unified harness, then
 # regression-gate the output against the committed goldens in
-# results/golden/. Exits non-zero if any experiment or gate fails.
+# results/golden/. Every quick-mode run must also reproduce
+# results/golden-quick/ byte for byte. Exits non-zero if any experiment
+# or gate fails.
 #
-# The quick campaign writes to the gitignored results-quick/; only the
-# full campaign writes the committed full-mode CSVs in results/.
+# Every output directory is gitignored: the quick modes write
+# results-quick/, results-shard/ and results-chaos/, and the full
+# campaign writes results/ (only its golden/ and golden-quick/
+# subdirectories are tracked).
 #
 # Pass-through args go to the campaign run, e.g.:
 #   ./run_figs.sh                 # quick campaign into results-quick/ + compare
+#                                 # (+ byte diff when given no args)
 #   IRRNET_FULL=1 ./run_figs.sh   # full paper-scale campaign into results/ + compare
 #   ./run_figs.sh shard [N]       # quick campaign as N workers + merge + compare
+#                                 # + byte diff
 #   ./run_figs.sh chaos           # damage/heal gauntlet: torn tails, stale
 #                                 # leases, corruption, reshard — then compare
+#                                 # + byte diff
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release -p irrnet-harness
 RUN=target/release/irrnet-run
+
+# Byte gate: every quick CSV must equal its twin in results/golden-quick/,
+# and every twin must still be written. `compare` holds the load and DSM
+# figures to shape only; this catches any drift in their values.
+byte_gate() {
+  diff -r -x manifest.json -x 'journal*.jsonl' -x 'lease*.json' results/golden-quick "$1"
+  echo "$(ls "$1"/*.csv | wc -l) quick CSVs byte-identical to results/golden-quick/"
+}
 
 # Distributed mode: run the quick campaign as N concurrent shard workers
 # into one directory, merge, and gate the merged artifacts against the
@@ -33,6 +48,7 @@ if [ "${1:-}" = "shard" ]; then
   "$RUN" status "$OUT"
   "$RUN" merge "$OUT"
   "$RUN" compare --out "$OUT" --golden results/golden
+  byte_gate "$OUT"
   echo ALLDONE
   exit 0
 fi
@@ -101,6 +117,7 @@ if [ "${1:-}" = "chaos" ]; then
   "$RUN" status "$OUT"
   "$RUN" merge "$OUT"
   "$RUN" compare --out "$OUT" --golden results/golden
+  byte_gate "$OUT"
   echo ALLDONE
   exit 0
 fi
@@ -113,5 +130,9 @@ else
   rm -rf "$OUT"
   "$RUN" --all --quick --out "$OUT" "$@"
   "$RUN" compare --out "$OUT" --golden results/golden
+  # Pass-through args such as --schemes change the set of files written.
+  if [ $# -eq 0 ]; then
+    byte_gate "$OUT"
+  fi
 fi
 echo ALLDONE

@@ -13,57 +13,61 @@ use irrnet::topology::{dot, ExtraLinks};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// `--name value` pairs; a flag without a value reads as `true`.
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut m = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                m.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                m.insert(name.to_string(), "true".to_string());
-                i += 1;
-            }
+        let name = args[i]
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument '{}'", args[i]))?;
+        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+            m.insert(name.to_string(), args[i + 1].clone());
+            i += 2;
         } else {
-            eprintln!("unexpected argument: {}", args[i]);
+            m.insert(name.to_string(), "true".to_string());
             i += 1;
         }
     }
-    m
+    Ok(m)
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn topo_config(flags: &HashMap<String, String>, seed: u64) -> RandomTopologyConfig {
-    RandomTopologyConfig {
-        num_switches: get(flags, "switches", 8usize),
-        ports_per_switch: get(flags, "ports", 8u8),
-        num_hosts: get(flags, "nodes", 32usize),
-        extra_links: ExtraLinks::Fraction(get(flags, "extra-links", 0.75f64)),
-        seed,
+/// The value of `--key`, or `default` when the flag is absent.
+fn get<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.get(key) {
+        Some(v) => v.parse().map_err(|_| format!("--{key}: cannot parse '{v}'")),
+        None => Ok(default),
     }
 }
 
-fn sim_config(flags: &HashMap<String, String>) -> SimConfig {
+fn topo_config(flags: &HashMap<String, String>, seed: u64) -> Result<RandomTopologyConfig, String> {
+    Ok(RandomTopologyConfig {
+        num_switches: get(flags, "switches", 8usize)?,
+        ports_per_switch: get(flags, "ports", 8u8)?,
+        num_hosts: get(flags, "nodes", 32usize)?,
+        extra_links: ExtraLinks::Fraction(get(flags, "extra-links", 0.75f64)?),
+        seed,
+    })
+}
+
+fn sim_config(flags: &HashMap<String, String>) -> Result<SimConfig, String> {
     let mut cfg = SimConfig::paper_default();
-    cfg.o_send_host = get(flags, "oh", cfg.o_send_host);
+    cfg.o_send_host = get(flags, "oh", cfg.o_send_host)?;
     cfg.o_recv_host = cfg.o_send_host;
-    cfg = cfg.with_r(get(flags, "r", 1.0f64));
-    cfg.packet_payload_flits = get(flags, "packet", cfg.packet_payload_flits);
+    cfg = cfg.with_r(get(flags, "r", 1.0f64)?);
+    cfg.packet_payload_flits = get(flags, "packet", cfg.packet_payload_flits)?;
     cfg.input_buffer_flits = cfg.packet_payload_flits + 40;
-    cfg.adaptive = get(flags, "adaptive", true);
-    cfg
+    cfg.adaptive = get(flags, "adaptive", true)?;
+    Ok(cfg)
 }
 
 /// Generate and analyze the random topology the flags describe.
 fn network(flags: &HashMap<String, String>, seed: u64) -> Result<Network, String> {
-    irrnet::topology::gen::generate(&topo_config(flags, seed))
+    irrnet::topology::gen::generate(&topo_config(flags, seed)?)
         .and_then(Network::analyze)
         .map_err(|e| format!("topology error: {e}"))
 }
@@ -76,14 +80,14 @@ fn scheme_flag(flags: &HashMap<String, String>) -> Result<SchemeId, String> {
 
 fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
     let scheme = scheme_flag(&flags)?;
-    let degree: usize = get(&flags, "degree", 8);
-    let msg: u32 = get(&flags, "msg", 128);
-    let seeds: u64 = get(&flags, "seeds", 5);
-    let trials: usize = get(&flags, "trials", 3);
+    let degree: usize = get(&flags, "degree", 8)?;
+    let msg: u32 = get(&flags, "msg", 128)?;
+    let seeds: u64 = get(&flags, "seeds", 5)?;
+    let trials: usize = get(&flags, "trials", 3)?;
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    let cfg = sim_config(&flags);
+    let cfg = sim_config(&flags)?;
     let mut sum = 0.0;
     for seed in 0..seeds {
         let net = network(&flags, seed)?;
@@ -103,12 +107,12 @@ fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_load(flags: HashMap<String, String>) -> Result<(), String> {
     let scheme = scheme_flag(&flags)?;
-    let degree: usize = get(&flags, "degree", 8);
-    let load: f64 = get(&flags, "load", 0.1);
-    let cfg = sim_config(&flags);
-    let net = network(&flags, get(&flags, "seed", 0))?;
+    let degree: usize = get(&flags, "degree", 8)?;
+    let load: f64 = get(&flags, "load", 0.1)?;
+    let cfg = sim_config(&flags)?;
+    let net = network(&flags, get(&flags, "seed", 0)?)?;
     let mut lc = LoadConfig::paper_default(degree, load);
-    lc.message_flits = get(&flags, "msg", 128);
+    lc.message_flits = get(&flags, "msg", 128)?;
     let r = run_load(&net, &cfg, scheme, &lc).map_err(|e| e.to_string())?;
     println!(
         "{} at effective load {load}: launched {}, completed {}, saturated: {}",
@@ -124,7 +128,7 @@ fn cmd_load(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_topo(flags: HashMap<String, String>) -> Result<(), String> {
-    let seed = get(&flags, "seed", 0u64);
+    let seed = get(&flags, "seed", 0u64)?;
     let net = network(&flags, seed)?;
     if flags.contains_key("dot") {
         print!("{}", dot::to_dot(&net.topo, Some(&net.updown)));
@@ -150,7 +154,7 @@ fn cmd_topo(flags: HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_metrics(flags: HashMap<String, String>) -> Result<(), String> {
     use irrnet::topology::metrics::{network_metrics, updown_stretch_fraction};
-    let seed = get(&flags, "seed", 0u64);
+    let seed = get(&flags, "seed", 0u64)?;
     let net = network(&flags, seed)?;
     let m = network_metrics(&net);
     println!("seed {seed}:");
@@ -174,8 +178,7 @@ fn main() -> ExitCode {
         eprintln!("usage: irrnet <single|load|topo|metrics|schemes> [--flags]");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
-    let done = match cmd.as_str() {
+    let done = parse_flags(&args[1..]).and_then(|flags| match cmd.as_str() {
         "single" => cmd_single(flags),
         "load" => cmd_load(flags),
         "topo" => cmd_topo(flags),
@@ -187,7 +190,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command: {other}")),
-    };
+    });
     match done {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

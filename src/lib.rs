@@ -31,7 +31,7 @@
 //!
 //! // One 8-way multicast under the switch tree-based scheme.
 //! let dests = NodeMask::from_nodes((1..=8).map(NodeId));
-//! let result = run_single(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests, 128).unwrap();
+//! let result = run_single(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128).unwrap();
 //! assert!(result.latency > 0);
 //! ```
 
@@ -44,8 +44,8 @@ pub use irrnet_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use irrnet_core::{
-        plan_multicast, try_plan_multicast, McastPlan, MulticastScheme, PathVariant, PlanCtx,
-        PlanError, PlanMeta, Scheme, SchemeCaps, SchemeId, SchemeProtocol, SchemeRegistry,
+        try_plan_multicast, McastPlan, MulticastScheme, PathVariant, PlanCtx, PlanError, PlanMeta,
+        SchemeCaps, SchemeId, SchemeProtocol, SchemeRegistry,
     };
     pub use irrnet_sim::{
         Cycle, DeadlockDiagnostics, McastId, PathStop, PathWormSpec, RetxPolicy, SendSpec,

@@ -49,6 +49,15 @@ fn empty_messages_are_an_error() {
 fn loads_must_be_finite_and_positive() {
     assert_clean_failure(&["load", "--scheme", "tree", "--load", "0"], "effective load 0");
     assert_clean_failure(&["load", "--scheme", "tree", "--load", "nan"], "effective load NaN");
+    assert_clean_failure(&["load", "--scheme", "tree", "--load", "1e9"], "per-node injection load");
+}
+
+#[test]
+fn unparsable_values_and_stray_arguments_are_an_error() {
+    let bad_degree = ["single", "--scheme", "tree", "--degree", "abc", "--seeds", "1"];
+    assert_clean_failure(&bad_degree, "--degree: cannot parse 'abc'");
+    let stray = ["single", "--scheme", "tree", "stray", "--seeds", "1"];
+    assert_clean_failure(&stray, "unexpected argument 'stray'");
 }
 
 #[test]

@@ -19,13 +19,13 @@ fn hybrid_sits_between_path_and_tree() {
     let dests = NodeMask::from_nodes((8..24).map(NodeId));
     for seed in 0..5 {
         let net = default_net(seed);
-        tree += run_single(&net, &cfg, Scheme::TreeWorm, NodeId(0), dests.clone(), 128)
+        tree += run_single(&net, &cfg, SchemeId::TREE, NodeId(0), dests.clone(), 128)
             .unwrap()
             .latency;
-        hybrid += run_single(&net, &cfg, Scheme::PathLgNi, NodeId(0), dests.clone(), 128)
+        hybrid += run_single(&net, &cfg, SchemeId::PATH_LG_NI, NodeId(0), dests.clone(), 128)
             .unwrap()
             .latency;
-        path += run_single(&net, &cfg, Scheme::PathLessGreedy, NodeId(0), dests.clone(), 128)
+        path += run_single(&net, &cfg, SchemeId::PATH_LG, NodeId(0), dests.clone(), 128)
             .unwrap()
             .latency;
     }
@@ -40,7 +40,7 @@ fn disabling_adaptivity_never_helps_under_load() {
     lc.warmup = 20_000;
     lc.measure = 150_000;
     lc.drain = 80_000;
-    for scheme in [Scheme::TreeWorm, Scheme::PathLessGreedy] {
+    for scheme in [SchemeId::TREE, SchemeId::PATH_LG] {
         let lat = |adaptive: bool| {
             let mut cfg = SimConfig::paper_default();
             cfg.adaptive = adaptive;
@@ -91,13 +91,13 @@ fn header_cost_ordering_matches_architecture_section() {
     let net = default_net(2);
     let dests = NodeMask::from_nodes((1..=16).map(NodeId));
     let cost = |scheme| {
-        let plan = irrnet::mcast::plan_multicast(&net, &cfg, scheme, NodeId(0), dests.clone(), 128);
+        let plan = try_plan_multicast(&net, &cfg, scheme, NodeId(0), dests.clone(), 128).unwrap();
         header_costs(&net, &plan).total_header_bytes
     };
-    let tree = cost(Scheme::TreeWorm);
-    let path = cost(Scheme::PathLessGreedy);
-    let ni = cost(Scheme::NiFpfs);
-    let ub = cost(Scheme::UBinomial);
+    let tree = cost(SchemeId::TREE);
+    let path = cost(SchemeId::PATH_LG);
+    let ni = cost(SchemeId::NI_FPFS);
+    let ub = cost(SchemeId::UBINOMIAL);
     assert!(tree < path, "tree {tree} < path {path}");
     assert!(path < ni, "path {path} < ni {ni}");
     assert_eq!(ni, ub, "both software trees send one unicast per destination");
@@ -105,8 +105,8 @@ fn header_cost_ordering_matches_architecture_section() {
 
 #[test]
 fn cli_scheme_names_resolve() {
-    for s in Scheme::all() {
-        assert!(Scheme::all().iter().any(|x| x.name() == s.name()));
+    for s in SchemeId::BUILTIN {
+        assert_eq!(SchemeRegistry::resolve(s.name()), Some(s));
         assert!(!s.name().is_empty());
     }
 }

@@ -15,13 +15,13 @@ fn mixed_schemes_share_one_network() {
     let cfg = SimConfig::paper_default();
     let mut proto = SchemeProtocol::new();
     let mut expected = Vec::new();
-    let schemes = Scheme::all();
+    let schemes = SchemeId::BUILTIN;
     for (i, scheme) in schemes.into_iter().enumerate() {
         let source = NodeId((i * 5) as u16);
         let mut dests = NodeMask::from_nodes((0..8).map(|k| NodeId(((i * 3 + k * 4) % 32) as u16)));
         dests.remove(source);
         let id = McastId(i as u64);
-        let plan = plan_multicast(&net, &cfg, scheme, source, dests.clone(), 128);
+        let plan = try_plan_multicast(&net, &cfg, scheme, source, dests.clone(), 128).unwrap();
         proto.add(id, Arc::new(plan));
         expected.push((id, dests));
     }
@@ -48,7 +48,7 @@ fn mixed_workload_is_deterministic() {
         let cfg = SimConfig::paper_default();
         let mut proto = SchemeProtocol::new();
         let mut launches = Vec::new();
-        for (i, scheme) in [Scheme::TreeWorm, Scheme::NiFpfs, Scheme::PathLessGreedy]
+        for (i, scheme) in [SchemeId::TREE, SchemeId::NI_FPFS, SchemeId::PATH_LG]
             .into_iter()
             .enumerate()
         {
@@ -56,7 +56,8 @@ fn mixed_workload_is_deterministic() {
             let mut dests = NodeMask::from_nodes((10..20).map(NodeId));
             dests.remove(source);
             let id = McastId(i as u64);
-            proto.add(id, Arc::new(plan_multicast(&net, &cfg, scheme, source, dests.clone(), 256)));
+            let plan = try_plan_multicast(&net, &cfg, scheme, source, dests.clone(), 256).unwrap();
+            proto.add(id, Arc::new(plan));
             launches.push((id, dests));
         }
         let mut sim = Simulator::new(&net, cfg, proto).unwrap();
@@ -84,10 +85,9 @@ fn overlapping_multicasts_slow_each_other_down() {
     // Alone:
     let solo = {
         let mut proto = SchemeProtocol::new();
-        proto.add(
-            McastId(0),
-            Arc::new(plan_multicast(&net, &cfg, Scheme::NiFpfs, NodeId(0), dests.clone(), 512)),
-        );
+        let plan = try_plan_multicast(&net, &cfg, SchemeId::NI_FPFS, NodeId(0), dests.clone(), 512)
+            .unwrap();
+        proto.add(McastId(0), Arc::new(plan));
         let mut sim = Simulator::new(&net, cfg.clone(), proto).unwrap();
         sim.schedule_multicast(0, McastId(0), dests.clone(), 512);
         sim.run_to_completion(50_000_000).unwrap();
@@ -103,7 +103,7 @@ fn overlapping_multicasts_slow_each_other_down() {
             d.remove(src);
             proto.add(
                 McastId(i),
-                Arc::new(plan_multicast(&net, &cfg, Scheme::NiFpfs, src, d, 512)),
+                Arc::new(try_plan_multicast(&net, &cfg, SchemeId::NI_FPFS, src, d, 512).unwrap()),
             );
         }
         let mut sim = Simulator::new(&net, cfg.clone(), proto).unwrap();

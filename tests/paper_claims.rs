@@ -19,7 +19,7 @@ fn nets(count: usize, switches: usize) -> Vec<Network> {
 fn avg_latency(
     nets: &[Network],
     cfg: &SimConfig,
-    scheme: Scheme,
+    scheme: SchemeId,
     degree: usize,
     msg: u32,
 ) -> f64 {
@@ -39,8 +39,8 @@ fn claim_tree_based_wins_everywhere() {
     for r in [0.5, 1.0, 4.0] {
         let cfg = SimConfig::paper_default().with_r(r);
         for degree in [4usize, 16] {
-            let tree = avg_latency(&nets, &cfg, Scheme::TreeWorm, degree, 128);
-            for other in [Scheme::NiFpfs, Scheme::PathLessGreedy, Scheme::UBinomial] {
+            let tree = avg_latency(&nets, &cfg, SchemeId::TREE, degree, 128);
+            for other in [SchemeId::NI_FPFS, SchemeId::PATH_LG, SchemeId::UBINOMIAL] {
                 let o = avg_latency(&nets, &cfg, other, degree, 128);
                 assert!(
                     tree < o,
@@ -60,8 +60,8 @@ fn claim_r_crossover_between_ni_and_path() {
     let degree = 16;
     let gap = |r: f64| {
         let cfg = SimConfig::paper_default().with_r(r);
-        avg_latency(&nets, &cfg, Scheme::NiFpfs, degree, 128)
-            - avg_latency(&nets, &cfg, Scheme::PathLessGreedy, degree, 128)
+        avg_latency(&nets, &cfg, SchemeId::NI_FPFS, degree, 128)
+            - avg_latency(&nets, &cfg, SchemeId::PATH_LG, degree, 128)
     };
     // The NI-based scheme's disadvantage shrinks monotonically with R and
     // flips to an advantage by R = 4.
@@ -82,13 +82,13 @@ fn claim_more_switches_hurt_path_based_only() {
     let n8 = nets(4, 8);
     let n32 = nets(4, 32);
     let degree = 16;
-    let path_8 = avg_latency(&n8, &cfg, Scheme::PathLessGreedy, degree, 128);
-    let path_32 = avg_latency(&n32, &cfg, Scheme::PathLessGreedy, degree, 128);
+    let path_8 = avg_latency(&n8, &cfg, SchemeId::PATH_LG, degree, 128);
+    let path_32 = avg_latency(&n32, &cfg, SchemeId::PATH_LG, degree, 128);
     assert!(
         path_32 > 1.25 * path_8,
         "path-based should degrade noticeably: {path_8:.0} -> {path_32:.0}"
     );
-    for stable in [Scheme::NiFpfs, Scheme::TreeWorm] {
+    for stable in [SchemeId::NI_FPFS, SchemeId::TREE] {
         let a = avg_latency(&n8, &cfg, stable, degree, 128);
         let b = avg_latency(&n32, &cfg, stable, degree, 128);
         assert!(
@@ -113,8 +113,8 @@ fn claim_long_messages_favor_fpfs_over_path() {
     let nets = nets(5, 8);
     let degree = 16;
     let ratio = |msg: u32| {
-        avg_latency(&nets, &cfg, Scheme::NiFpfs, degree, msg)
-            / avg_latency(&nets, &cfg, Scheme::PathLessGreedy, degree, msg)
+        avg_latency(&nets, &cfg, SchemeId::NI_FPFS, degree, msg)
+            / avg_latency(&nets, &cfg, SchemeId::PATH_LG, degree, msg)
     };
     let r8 = ratio(1024); // 8 packets
     let r32 = ratio(4096); // 32 packets
@@ -125,8 +125,8 @@ fn claim_long_messages_favor_fpfs_over_path() {
     );
     // And the advantage must come from pipelining: the per-flit cost of
     // NI-based drops as messages grow.
-    let ni_long = avg_latency(&nets, &cfg, Scheme::NiFpfs, degree, 2048);
-    let ni_short = avg_latency(&nets, &cfg, Scheme::NiFpfs, degree, 128);
+    let ni_long = avg_latency(&nets, &cfg, SchemeId::NI_FPFS, degree, 2048);
+    let ni_short = avg_latency(&nets, &cfg, SchemeId::NI_FPFS, degree, 128);
     assert!(ni_long / 16.0 < ni_short, "FPFS should amortize per-packet");
 }
 
@@ -137,8 +137,8 @@ fn claim_long_messages_favor_fpfs_over_path() {
 fn claim_binomial_step_scaling() {
     let cfg = SimConfig::paper_default();
     let nets = nets(3, 8);
-    let l3 = avg_latency(&nets, &cfg, Scheme::UBinomial, 7, 128); // 3 steps
-    let l5 = avg_latency(&nets, &cfg, Scheme::UBinomial, 31, 128); // 5 steps
+    let l3 = avg_latency(&nets, &cfg, SchemeId::UBINOMIAL, 7, 128); // 3 steps
+    let l5 = avg_latency(&nets, &cfg, SchemeId::UBINOMIAL, 31, 128); // 5 steps
     let ratio = l5 / l3;
     assert!(
         (1.3..2.3).contains(&ratio),
@@ -160,8 +160,8 @@ fn claim_tree_based_saturates_last() {
     lc.warmup = 30_000;
     lc.measure = 200_000;
     lc.drain = 100_000;
-    let tree = run_load(&net, &cfg, Scheme::TreeWorm, &lc).unwrap();
-    let ni = run_load(&net, &cfg, Scheme::NiFpfs, &lc).unwrap();
+    let tree = run_load(&net, &cfg, SchemeId::TREE, &lc).unwrap();
+    let ni = run_load(&net, &cfg, SchemeId::NI_FPFS, &lc).unwrap();
     assert!(!tree.saturated, "{tree:?}");
     assert!(ni.saturated, "{ni:?}");
 }

@@ -61,7 +61,7 @@ fn sixteen_and_thirtytwo_switch_sweeps_complete() {
                 let lat = mean_single_latency(
                     &net,
                     &cfg,
-                    Scheme::PathLessGreedy,
+                    SchemeId::PATH_LG,
                     degree,
                     128,
                     3,
@@ -83,7 +83,7 @@ fn hybrid_path_scheme_also_survives_sparse_topologies() {
         )
         .unwrap();
         let lat =
-            mean_single_latency(&net, &cfg, Scheme::PathLgNi, 24, 256, 2, seed).unwrap();
+            mean_single_latency(&net, &cfg, SchemeId::PATH_LG_NI, 24, 256, 2, seed).unwrap();
         assert!(lat > 0.0);
     }
 }

@@ -16,7 +16,7 @@ struct Case {
     source: usize,
     dest_bits: u64,
     message_flits: u32,
-    scheme: Scheme,
+    scheme: SchemeId,
 }
 
 /// A feasible random case: ports always fit the spanning tree plus the
@@ -39,7 +39,7 @@ fn sample_case(rng: &mut SmallRng) -> Case {
         source: rng.gen_range(0..hosts),
         dest_bits: rng.next_u64() | 1,
         message_flits: [16u32, 128, 300][rng.gen_range(0..3usize)],
-        scheme: Scheme::all()[rng.gen_range(0..Scheme::all().len())],
+        scheme: SchemeId::BUILTIN[rng.gen_range(0..SchemeId::BUILTIN.len())],
     }
 }
 
@@ -65,10 +65,11 @@ fn exactly_once_delivery() {
             dests.insert(NodeId(d as u16));
         }
         let cfg = SimConfig::paper_default();
-        let ctx = format!("{:?} source {} scheme {:?}", case.topo, case.source, case.scheme);
+        let ctx = format!("{:?} source {} scheme {}", case.topo, case.source, case.scheme);
 
         let plan =
-            plan_multicast(&net, &cfg, case.scheme, source, dests.clone(), case.message_flits);
+            try_plan_multicast(&net, &cfg, case.scheme, source, dests.clone(), case.message_flits)
+                .unwrap();
         let mut proto = SchemeProtocol::new();
         proto.add(McastId(0), Arc::new(plan));
         let mut sim = Simulator::new(&net, cfg.clone(), proto).unwrap();
