@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! irrnet-run --all [--quick] [--threads N] [--seeds N] [--trials N] [--out DIR]
-//!            [--schemes a,b,c] [--unit-timeout SECS] [--unit-retries N] [--audit]
-//!            [--stream-stats]
+//!            [--schemes a,b,c]
 //! irrnet-run fig06 ext_b ...          # run selected experiments
 //! irrnet-run resume DIR [--threads N] # finish an interrupted campaign
 //! irrnet-run work DIR --shard i/N (--all | <experiment>...) [flags]
@@ -21,8 +20,14 @@
 //! ```
 //!
 //! Exit codes: 0 = campaign completed cleanly, 1 = completed with failed
-//! units (see the manifest's `"failures"`), 130 = interrupted (resume
-//! with `irrnet-run resume DIR`, or re-run the same `work` command).
+//! units (see the manifest's `"failures"`) or an option value out of
+//! range, 2 = a command line that does not parse (an unknown flag, a
+//! missing or unparsable value), 130 = interrupted (resume with
+//! `irrnet-run resume DIR`, or re-run the same `work` command).
+//!
+//! Each unit runs once, on the campaign's own options. The simulator's
+//! invariant auditor is switched on for the whole process with
+//! `IRRNET_AUDIT=1`; the manifest records whether it was on.
 
 use irrnet_harness::compare::run_compare;
 use irrnet_harness::opts::CampaignOptions;
@@ -42,7 +47,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: irrnet-run (--all | <experiment>...) [--quick] [--threads N] \
          [--seeds N] [--trials N] [--out DIR] [--schemes a,b,c]\n\
-         \x20                 [--unit-timeout SECS] [--unit-retries N] [--audit] [--stream-stats]\n\
          \x20      irrnet-run resume DIR [--threads N]\n\
          \x20      irrnet-run work DIR --shard i/N (--all | <experiment>...) [flags as above]\n\
          \x20                 [--take-over] [--stale-after SECS]\n\
@@ -96,10 +100,6 @@ struct CampaignCli {
     trials: Option<usize>,
     out: Option<String>,
     scheme_list: Option<String>,
-    unit_timeout: Option<f64>,
-    unit_retries: u32,
-    audit: bool,
-    stream_stats: bool,
     shard: Option<ShardSpec>,
     take_over: bool,
     stale_after: Option<f64>,
@@ -134,12 +134,6 @@ impl CampaignCli {
                 "--trials" => cli.trials = Some(parse_value(&mut args, "--trials")),
                 "--out" => cli.out = Some(parse_value(&mut args, "--out")),
                 "--schemes" => cli.scheme_list = Some(parse_value(&mut args, "--schemes")),
-                "--unit-timeout" => {
-                    cli.unit_timeout = Some(parse_value(&mut args, "--unit-timeout"));
-                }
-                "--unit-retries" => cli.unit_retries = parse_value(&mut args, "--unit-retries"),
-                "--audit" => cli.audit = true,
-                "--stream-stats" => cli.stream_stats = true,
                 "--shard" if allow_shard => {
                     let spec: String = parse_value(&mut args, "--shard");
                     match spec.parse() {
@@ -188,21 +182,7 @@ impl CampaignCli {
             opts.out_dir = dir.into();
         }
         opts.threads = self.threads;
-        if let Some(secs) = self.unit_timeout {
-            if !secs.is_finite() || secs <= 0.0 {
-                eprintln!("error: --unit-timeout needs a positive number of seconds");
-                return Err(ExitCode::FAILURE);
-            }
-            opts.unit_timeout = Some(std::time::Duration::from_secs_f64(secs));
-        }
-        opts.unit_retries = self.unit_retries;
-        opts.stream_stats = self.stream_stats;
         opts.argv = argv;
-        if self.audit {
-            opts.audit = true;
-            // Every simulator built from here on audits its invariants.
-            irrnet_sim::set_audit_default(true);
-        }
         if let Some(list) = &self.scheme_list {
             // Harness-local plugins are selectable by name, same as built-ins.
             ensure_demo_schemes();
@@ -505,7 +485,14 @@ fn main_compare(argv: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--out" => out = parse_value::<String>(&mut args, "--out").into(),
             "--golden" => golden = Some(parse_value::<String>(&mut args, "--golden").into()),
-            "--tol" => tol = Some(parse_value(&mut args, "--tol")),
+            "--tol" => {
+                let t: f64 = parse_value(&mut args, "--tol");
+                if !(t.is_finite() && t >= 0.0) {
+                    eprintln!("error: --tol needs a finite, non-negative fraction (got {t})");
+                    return ExitCode::FAILURE;
+                }
+                tol = Some(t);
+            }
             "--help" | "-h" => usage(),
             s => {
                 eprintln!("error: unknown compare argument '{s}'");

@@ -9,7 +9,7 @@
 //! the same key still run the generator a single time), and the manifest
 //! records per-key generation and use counts as proof.
 //!
-//! Units reach the cache through a per-attempt [`CacheHandle`] that logs
+//! Units reach the cache through a per-unit [`CacheHandle`] that logs
 //! which keys the unit touched; the run journal records the touch list
 //! so a resumed campaign can [`replay`](TopoCache::replay) the lookups
 //! of already-completed units and report byte-identical cache statistics

@@ -1,10 +1,10 @@
 //! Typed unit and journal failures.
 //!
-//! A campaign unit that fails — by returning an error, panicking, or
-//! overrunning its wall-clock budget — produces a [`UnitError`] instead
-//! of killing the campaign. The runner records it (with the unit's label
-//! and retry count) in the manifest's `"failures"` array and leaves a
-//! gap in the affected CSV columns; every other unit still runs.
+//! A campaign unit that fails — by returning an error or panicking —
+//! produces a [`UnitError`] instead of killing the campaign. The runner
+//! records it (with the unit's label) in the manifest's `"failures"`
+//! array and leaves a gap in the affected CSV columns; every other unit
+//! still runs.
 //!
 //! A journal that cannot be trusted produces a [`JournalError`]: the
 //! important distinction is [`JournalError::CorruptRecord`] (damage in
@@ -17,17 +17,14 @@ use irrnet_collectives::CollectiveError;
 use irrnet_core::PlanError;
 use irrnet_sim::SimError;
 use irrnet_topology::TopologyError;
-use irrnet_workloads::{IsolationError, WorkloadError};
+use irrnet_workloads::WorkloadError;
 use std::fmt;
-use std::time::Duration;
 
 /// Why a single campaign unit failed to produce its emits.
 #[derive(Debug, Clone)]
 pub enum UnitError {
     /// The unit's closure panicked (caught at the isolation boundary).
     Panicked(String),
-    /// The unit exceeded `--unit-timeout`.
-    TimedOut(Duration),
     /// A simulation run inside the unit failed.
     Sim(SimError),
     /// A collective run inside the unit failed.
@@ -45,7 +42,6 @@ impl UnitError {
     pub fn kind(&self) -> &'static str {
         match self {
             UnitError::Panicked(_) => "panic",
-            UnitError::TimedOut(_) => "timeout",
             UnitError::Sim(_) => "sim",
             UnitError::Collective(_) => "collective",
             UnitError::Topology(_) => "topology",
@@ -59,9 +55,6 @@ impl fmt::Display for UnitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             UnitError::Panicked(msg) => write!(f, "panicked: {msg}"),
-            UnitError::TimedOut(d) => {
-                write!(f, "exceeded its {:.1}s wall-clock budget", d.as_secs_f64())
-            }
             UnitError::Sim(e) => write!(f, "simulation failed: {e}"),
             UnitError::Collective(e) => write!(f, "collective failed: {e}"),
             UnitError::Topology(e) => write!(f, "topology failed: {e}"),
@@ -103,15 +96,6 @@ impl From<WorkloadError> for UnitError {
             WorkloadError::Plan(e) => UnitError::Plan(e),
             WorkloadError::Sim(e) => UnitError::Sim(e),
             WorkloadError::Input(_) => UnitError::Msg(e.to_string()),
-        }
-    }
-}
-
-impl From<IsolationError> for UnitError {
-    fn from(e: IsolationError) -> Self {
-        match e {
-            IsolationError::Panicked(msg) => UnitError::Panicked(msg),
-            IsolationError::TimedOut(d) => UnitError::TimedOut(d),
         }
     }
 }
@@ -178,9 +162,9 @@ impl fmt::Display for JournalError {
             JournalError::Version { found } => write!(
                 f,
                 "unsupported journal version {found}: this build reads and writes version {} \
-                 (v3 added a per-record integrity checksum, so older journals cannot be \
-                 verified); re-run the campaign — or re-run its shard workers — with this build \
-                 to regenerate the journal",
+                 (older headers fingerprint a different set of campaign options, so an older \
+                 journal cannot be verified); re-run the campaign — or re-run its shard \
+                 workers — with this build to regenerate the journal",
                 crate::journal::JOURNAL_VERSION
             ),
             JournalError::Malformed(msg) => f.write_str(msg),
@@ -214,8 +198,8 @@ mod tests {
         assert!(msg.contains("line 7"), "{msg}");
         assert!(msg.contains("byte offset 912"), "{msg}");
         assert!(msg.contains("checksum mismatch"), "{msg}");
-        let v = JournalError::Version { found: 2 }.to_string();
-        assert!(v.contains("version 2") && v.contains("version 3"), "{v}");
+        let v = JournalError::Version { found: 3 }.to_string();
+        assert!(v.contains("version 3") && v.contains("version 4"), "{v}");
     }
 
     #[test]
@@ -223,10 +207,7 @@ mod tests {
         let e = UnitError::Panicked("boom".into());
         assert_eq!(e.kind(), "panic");
         assert_eq!(e.to_string(), "panicked: boom");
-        let e = UnitError::TimedOut(Duration::from_millis(1500));
-        assert_eq!(e.kind(), "timeout");
-        assert!(e.to_string().contains("1.5s"));
-        let e: UnitError = IsolationError::Panicked("p".into()).into();
-        assert!(matches!(e, UnitError::Panicked(_)));
+        let e: UnitError = WorkloadError::Input("degree 0".into()).into();
+        assert_eq!(e.kind(), "other");
     }
 }

@@ -29,11 +29,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             .select_schemes(&crate::schemes::named(&["ubinomial", "ni-fpfs", "tree", "path-lg"]));
         for &rate in rates {
             for &scheme in &schemes {
-                let mut cfg = DsmConfig {
-                    write_rate: rate,
-                    stream_stats: ctx.opts.stream_stats,
-                    ..DsmConfig::default()
-                };
+                let mut cfg = DsmConfig { write_rate: rate, ..DsmConfig::default() };
                 if !ctx.opts.quick {
                     cfg.measure = 400_000;
                     cfg.drain = 200_000;

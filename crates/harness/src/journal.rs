@@ -6,8 +6,8 @@
 //! index, label, wall time, the topology-cache keys it touched, and its
 //! full emit list — after a header line describing the campaign
 //! configuration (fingerprinted so a journal can't silently resume under
-//! different options). Units that fail every attempt are journaled too
-//! (a `"fail"` record), so a resumed or merged campaign reproduces the
+//! different options). Units that fail are journaled too (a `"fail"`
+//! record), so a resumed or merged campaign reproduces the
 //! manifest's `"failures"` array without re-running the failing unit.
 //! Because every line is synced before the next unit is acknowledged, a
 //! crash or SIGKILL loses at most the units that were mid-flight;
@@ -22,7 +22,7 @@
 //! replay keys strictly on the unit index, and the determinism suite
 //! excludes journal files from byte comparisons.
 //!
-//! **Integrity (format v3).** Every line — header and records alike —
+//! **Integrity (since format v3).** Every line — header and records alike —
 //! leads with a `"sum"` field: the fnv1a hash of the rest of the line
 //! (its canonical payload). Corruption *anywhere* in the file is
 //! therefore detected on read, not just at the tail, and classified:
@@ -52,9 +52,11 @@ use std::sync::Mutex;
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
 /// Journal format version this build reads and writes. Version 2 added
-/// the `stream_stats`/`argv`/`shard` header fields and `"fail"` records;
-/// version 3 added the leading per-record `"sum"` integrity checksum.
-pub const JOURNAL_VERSION: u64 = 3;
+/// the `argv`/`shard` header fields and `"fail"` records; version 3 added
+/// the leading per-record `"sum"` integrity checksum; version 4 dropped
+/// the retry, timeout, audit and streaming-statistics header fields and
+/// the `"fail"` record's attempt count.
+pub const JOURNAL_VERSION: u64 = 4;
 
 /// The shard journal file name for shard `spec` of a campaign directory.
 pub fn shard_journal_file(spec: ShardSpec) -> String {
@@ -75,15 +77,6 @@ pub struct CampaignHeader {
     pub experiments: Vec<String>,
     /// Scheme filter by name (`None` = no filter).
     pub schemes: Option<Vec<String>>,
-    /// Per-unit wall-clock budget in milliseconds, if any.
-    pub unit_timeout_ms: Option<u64>,
-    /// Retries per failed unit.
-    pub unit_retries: u32,
-    /// Simulator invariant auditing enabled.
-    pub audit: bool,
-    /// Bounded-memory streaming statistics enabled (`--stream-stats`).
-    /// Fingerprinted: it changes artifact bytes.
-    pub stream_stats: bool,
     /// Which shard of a distributed campaign this journal belongs to
     /// (`None` for a single-process journal). Deliberately *excluded*
     /// from the fingerprint: all shards of one campaign — and the merged
@@ -103,16 +96,12 @@ impl CampaignHeader {
         let mut s = String::new();
         let _ = write!(
             s,
-            "quick={};seeds={:?};trials={};experiments={:?};schemes={:?};timeout={:?};retries={};audit={};stream={};labels={:?}",
+            "quick={};seeds={:?};trials={};experiments={:?};schemes={:?};labels={:?}",
             self.quick,
             self.seeds,
             self.trials,
             self.experiments,
             self.schemes,
-            self.unit_timeout_ms,
-            self.unit_retries,
-            self.audit,
-            self.stream_stats,
             self.labels,
         );
         s
@@ -152,21 +141,19 @@ pub struct ReplayedUnit {
     pub emits: Vec<Emit>,
 }
 
-/// One journaled permanently-failed unit (all attempts exhausted),
-/// reconstructed on resume or merge so the manifest's `"failures"` array
-/// is reproduced without re-running the unit.
+/// One journaled failed unit, reconstructed on resume or merge so the
+/// manifest's `"failures"` array is reproduced without re-running the
+/// unit.
 #[derive(Debug, Clone)]
 pub struct ReplayedFailure {
     /// Unit index in the pool.
     pub index: usize,
     /// Unit label at journaling time.
     pub label: String,
-    /// Failure kind (`"panic"`, `"timeout"`, `"error"`).
+    /// Failure kind (`"panic"`, `"sim"`, `"other"`, ...).
     pub kind: String,
     /// Human-readable error text.
     pub error: String,
-    /// Attempts made (1 + retries).
-    pub attempts: u32,
 }
 
 // ---- per-record integrity checksums (format v3) --------------------------
@@ -311,14 +298,6 @@ pub fn header_line(h: &CampaignHeader) -> String {
         s.push_str(",\"schemes\":");
         push_str_array(&mut s, schemes);
     }
-    if let Some(ms) = h.unit_timeout_ms {
-        let _ = write!(s, ",\"unit_timeout_ms\":{ms}");
-    }
-    let _ = write!(
-        s,
-        ",\"unit_retries\":{},\"audit\":{},\"stream_stats\":{}",
-        h.unit_retries, h.audit, h.stream_stats
-    );
     if let Some(shard) = h.shard {
         let _ = write!(s, ",\"shard\":{{\"index\":{},\"count\":{}}}", shard.index, shard.count);
     }
@@ -353,8 +332,8 @@ pub fn unit_line(index: usize, label: &str, ms: u64, cache: &[String], emits: &[
     seal_line(&s)
 }
 
-/// One permanently-failed-unit line (with trailing newline).
-pub fn fail_line(index: usize, label: &str, kind: &str, error: &str, attempts: u32) -> String {
+/// One failed-unit line (with trailing newline).
+pub fn fail_line(index: usize, label: &str, kind: &str, error: &str) -> String {
     let mut s = String::from("{\"kind\":\"fail\",");
     let _ = write!(s, "\"index\":{index},");
     push_str_field(&mut s, "label", label);
@@ -362,7 +341,7 @@ pub fn fail_line(index: usize, label: &str, kind: &str, error: &str, attempts: u
     push_str_field(&mut s, "fkind", kind);
     s.push(',');
     push_str_field(&mut s, "error", error);
-    let _ = writeln!(s, ",\"attempts\":{attempts}}}");
+    s.push_str("}\n");
     seal_line(&s)
 }
 
@@ -410,10 +389,6 @@ fn parse_header_fields(v: &Value) -> Result<CampaignHeader, String> {
         trials: v.get("trials").and_then(Value::as_u64).ok_or("header missing trials")? as usize,
         experiments: str_list(v.get("experiments")).ok_or("header missing experiments")?,
         schemes: v.get("schemes").map(|s| str_list(Some(s)).ok_or("bad schemes")).transpose()?,
-        unit_timeout_ms: v.get("unit_timeout_ms").and_then(Value::as_u64),
-        unit_retries: v.get("unit_retries").and_then(Value::as_u64).unwrap_or(0) as u32,
-        audit: v.get("audit").and_then(Value::as_bool).unwrap_or(false),
-        stream_stats: v.get("stream_stats").and_then(Value::as_bool).unwrap_or(false),
         shard,
         argv: str_list(v.get("argv")).unwrap_or_default(),
         labels: str_list(v.get("labels")).ok_or("header missing labels")?,
@@ -523,7 +498,6 @@ fn parse_fail(v: &Value) -> Result<ReplayedFailure, String> {
         label: s("label")?,
         kind: s("fkind")?,
         error: s("error")?,
-        attempts: v.get("attempts").and_then(Value::as_u64).unwrap_or(1) as u32,
     })
 }
 
@@ -537,7 +511,7 @@ pub struct ParsedJournal {
     pub header: CampaignHeader,
     /// Intact completed units, journal order.
     pub units: Vec<ReplayedUnit>,
-    /// Intact permanently-failed units, journal order.
+    /// Intact failed units, journal order.
     pub failures: Vec<ReplayedFailure>,
     /// Bytes of the valid prefix.
     pub valid_len: u64,
@@ -698,16 +672,15 @@ impl JournalWriter {
         self.append(&unit_line(index, label, ms, cache, emits))
     }
 
-    /// Durably record one permanently-failed unit.
+    /// Durably record one failed unit.
     pub fn record_failure(
         &self,
         index: usize,
         label: &str,
         kind: &str,
         error: &str,
-        attempts: u32,
     ) -> io::Result<()> {
-        self.append(&fail_line(index, label, kind, error, attempts))
+        self.append(&fail_line(index, label, kind, error))
     }
 }
 
@@ -758,10 +731,6 @@ mod tests {
             trials: 2,
             experiments: vec!["fig06".into(), "tab01".into()],
             schemes: None,
-            unit_timeout_ms: Some(30_000),
-            unit_retries: 1,
-            audit: false,
-            stream_stats: false,
             shard: None,
             argv: vec!["--quick".into(), "--all".into()],
             labels: vec!["a:tree".into(), "b:path".into()],
@@ -948,10 +917,6 @@ mod tests {
         );
         let parsed = parse_journal(&header_line(&sharded)).unwrap();
         assert_eq!(parsed.header, sharded);
-        // stream_stats IS fingerprinted (it changes artifact bytes).
-        let mut streaming = base.clone();
-        streaming.stream_stats = true;
-        assert_ne!(base.fingerprint(), streaming.fingerprint());
     }
 
     #[test]
@@ -959,11 +924,18 @@ mod tests {
         // A sealed header stamping an older version (re-sealed so the
         // checksum passes) gets the typed Version error.
         let header = sample_header();
-        let old = tamper_resealed(&header_line(&header), "\"version\":3", "\"version\":1");
-        let err = parse_journal(&old).unwrap_err();
-        assert!(matches!(err, JournalError::Version { found: 1 }), "{err:?}");
-        let msg = err.to_string();
-        assert!(msg.contains("version 1") && msg.contains("version 3"), "{msg}");
+        for found in [1, 3] {
+            let old = tamper_resealed(
+                &header_line(&header),
+                "\"version\":4",
+                &format!("\"version\":{found}"),
+            );
+            let err = parse_journal(&old).unwrap_err();
+            assert!(matches!(err, JournalError::Version { found: f } if f == found), "{err:?}");
+            let msg = err.to_string();
+            let named = msg.contains(&format!("version {found}"));
+            assert!(named && msg.contains("version 4"), "{msg}");
+        }
 
         // A *real* pre-v3 journal has no "sum" field at all; the parser
         // still surfaces the version guidance, not a checksum complaint.
@@ -980,14 +952,14 @@ mod tests {
             "{}{}{}",
             header_line(&header),
             unit_line(0, "a:tree", 7, &[], &[Emit::Table("t".into())]),
-            fail_line(1, "b:path", "timeout", "unit exceeded 30000 ms \"budget\"", 2),
+            fail_line(1, "b:path", "sim", "simulation failed: \"cycle limit\""),
         );
         let parsed = parse_journal(&text).unwrap();
         assert_eq!(parsed.units.len(), 1);
         assert_eq!(parsed.failures.len(), 1);
         let f = &parsed.failures[0];
-        assert_eq!((f.index, f.label.as_str(), f.kind.as_str(), f.attempts), (1, "b:path", "timeout", 2));
-        assert_eq!(f.error, "unit exceeded 30000 ms \"budget\"");
+        assert_eq!((f.index, f.label.as_str(), f.kind.as_str()), (1, "b:path", "sim"));
+        assert_eq!(f.error, "simulation failed: \"cycle limit\"");
         assert_eq!(parsed.valid_len as usize, text.len());
     }
 

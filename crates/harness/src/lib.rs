@@ -7,8 +7,8 @@
 //!   [`ExperimentSpec`](registry::ExperimentSpec) that expands into
 //!   scheme-granular [`Unit`](registry::Unit)s.
 //! * [`runner`] — flattens the selected specs into one task pool on
-//!   scoped worker threads; output is byte-identical for any thread
-//!   count.
+//!   scoped worker threads and runs each unit once behind a panic
+//!   boundary; output is byte-identical for any thread count.
 //! * [`cache`] — a shared analyzed-network cache, so each
 //!   `(topology config, seed)` pair is generated and analyzed exactly
 //!   once per campaign.
@@ -28,9 +28,6 @@
 //!   and `work --take-over`'s stale-worker validation.
 //! * [`status`] — `irrnet-run status`: live per-shard progress, failure
 //!   counts, liveness, and ETA read straight from the journals.
-//! * [`stats`] — campaign-level streaming statistics (re-exports the
-//!   bounded-memory `irrnet_workloads` sketches, adds unit-duration
-//!   accumulators).
 //! * [`error`] — the typed per-unit error surfaced in the manifest's
 //!   `"failures"` array instead of killing the campaign.
 //!
@@ -57,5 +54,4 @@ pub mod registry;
 pub mod runner;
 pub mod schemes;
 pub mod shard;
-pub mod stats;
 pub mod status;

@@ -42,12 +42,8 @@ pub fn write_manifest(
         }
         w.end_arr();
     }
-    if let Some(t) = opts.unit_timeout {
-        w.u64_field(Some("unit_timeout_ms"), t.as_millis() as u64);
-    }
-    w.u64_field(Some("unit_retries"), opts.unit_retries as u64);
-    w.bool_field(Some("audit"), opts.audit);
-    w.bool_field(Some("stream_stats"), opts.stream_stats);
+    // `IRRNET_AUDIT=1` is the one switch for the invariant auditor.
+    w.bool_field(Some("audit"), irrnet_sim::audit::default_enabled());
     w.bool_field(Some("interrupted"), report.interrupted);
 
     w.arr(Some("experiments"));
@@ -83,7 +79,6 @@ pub fn write_manifest(
         w.u64_field(Some("index"), f.index as u64);
         w.str_field(Some("kind"), &f.kind);
         w.str_field(Some("error"), &f.error);
-        w.u64_field(Some("attempts"), f.attempts as u64);
         w.end_obj();
     }
     w.end_arr();

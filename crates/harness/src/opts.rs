@@ -9,7 +9,6 @@ use irrnet_workloads::LoadConfig;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Options shared by every experiment of a campaign.
 #[derive(Debug, Clone)]
@@ -32,23 +31,6 @@ pub struct CampaignOptions {
     /// Experiments with a fixed structural layout (paired ablations like
     /// `abl_mdp`/`abl_ordering`) ignore the filter.
     pub schemes: Option<Vec<SchemeId>>,
-    /// Wall-clock budget per unit (`--unit-timeout`); a unit that
-    /// overruns it becomes a recorded failure, not a hung campaign.
-    /// `None` (the default) runs units inline with no budget — the
-    /// byte-identical-with-older-harnesses path.
-    pub unit_timeout: Option<Duration>,
-    /// Retries per failed unit (`--unit-retries`); each retry perturbs
-    /// the seed batch so a pathological topology draw isn't replayed
-    /// verbatim.
-    pub unit_retries: u32,
-    /// Enable the simulator's debug invariant auditor (`--audit`) for
-    /// every unit of the campaign.
-    pub audit: bool,
-    /// Stream workload latency distributions through bounded-memory
-    /// sketches (`--stream-stats`): ε-approximate quantiles at
-    /// `irrnet_workloads::STREAM_EPS` instead of buffered exact ones.
-    /// Off by default — the goldens pin the exact path.
-    pub stream_stats: bool,
     /// The CLI invocation that started the campaign (diagnostics only:
     /// recorded in the journal header and quoted in fingerprint-mismatch
     /// errors; empty for library callers).
@@ -69,10 +51,6 @@ impl CampaignOptions {
             out_dir: "results".into(),
             threads: None,
             schemes: None,
-            unit_timeout: None,
-            unit_retries: 0,
-            audit: false,
-            stream_stats: false,
             argv: Vec::new(),
             stop: None,
         }
@@ -87,10 +65,6 @@ impl CampaignOptions {
             out_dir: "results".into(),
             threads: None,
             schemes: None,
-            unit_timeout: None,
-            unit_retries: 0,
-            audit: false,
-            stream_stats: false,
             argv: Vec::new(),
             stop: None,
         }
@@ -131,7 +105,6 @@ impl CampaignOptions {
             lc.measure = 500_000;
             lc.drain = 200_000;
         }
-        lc.stream_stats = self.stream_stats;
         lc
     }
 

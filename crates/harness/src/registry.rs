@@ -16,15 +16,13 @@ use crate::opts::CampaignOptions;
 use irrnet_core::SchemeId;
 use std::sync::Arc;
 
-/// Shared state a unit executes against. Owned (everything behind
-/// `Arc`s) so a unit can be moved onto its own thread when a wall-clock
-/// budget is in force, and so each attempt gets a fresh cache handle
-/// whose touch log feeds the run journal.
+/// Shared state a unit executes against. Each unit gets a fresh cache
+/// handle whose touch log feeds the run journal.
 #[derive(Clone)]
 pub struct RunCtx {
     /// Campaign-wide options (grids, seeds, trials).
     pub opts: Arc<CampaignOptions>,
-    /// This attempt's logging view of the shared analyzed-network cache.
+    /// This unit's logging view of the shared analyzed-network cache.
     pub cache: CacheHandle,
 }
 

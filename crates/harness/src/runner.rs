@@ -9,12 +9,12 @@
 //!
 //! This module also owns the campaign-resilience machinery:
 //!
-//! * every unit runs behind `catch_unwind` (and, under `--unit-timeout`,
-//!   on a deadline thread), so a panicking or runaway unit becomes a
+//! * every unit runs once, on the campaign's own options, behind
+//!   `catch_unwind`, so a unit that panics or returns an error becomes a
 //!   typed [`UnitFailure`] in the manifest's `"failures"` array — a gap
-//!   in its CSV column, never a dead campaign;
-//! * failed units are retried up to `--unit-retries` times with a
-//!   perturbed seed batch;
+//!   in its CSV column, never a dead campaign. A unit cannot run
+//!   forever: every simulation it runs ends at its cycle limit or trips
+//!   the deadlock watchdog;
 //! * every completed unit is durably journaled, and [`resume_campaign`]
 //!   replays a journal to finish an interrupted campaign with
 //!   byte-identical artifacts;
@@ -31,9 +31,10 @@ use crate::journal::{
 use crate::manifest;
 use crate::opts::CampaignOptions;
 use crate::registry::{self, Emit, ExperimentSpec, RunCtx, Unit};
-use irrnet_workloads::{catch_panics, par_run_with, run_with_deadline, Series};
+use irrnet_workloads::{par_run_with, Series};
 use std::collections::HashMap;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,12 +68,10 @@ pub struct UnitFailure {
     pub label: String,
     /// The unit's index in the campaign pool.
     pub index: usize,
-    /// Error category (`"panic"`, `"timeout"`, `"sim"`, ...).
+    /// Error category (`"panic"`, `"sim"`, `"plan"`, ...).
     pub kind: String,
-    /// Rendered error message of the final attempt.
+    /// Rendered error message.
     pub error: String,
-    /// Total attempts made (1 + retries).
-    pub attempts: u32,
 }
 
 /// Summary of a whole campaign run.
@@ -80,7 +79,7 @@ pub struct UnitFailure {
 pub struct CampaignReport {
     /// Per-experiment reports, in registry order.
     pub experiments: Vec<ExperimentReport>,
-    /// Units that failed every attempt, in pool order.
+    /// Units that failed, in pool order.
     pub failures: Vec<UnitFailure>,
     /// The campaign was stopped early (SIGINT / stop flag); artifacts
     /// were not rendered and the journal holds the completed units.
@@ -97,10 +96,10 @@ pub struct CampaignReport {
 pub(crate) enum UnitOutcome {
     /// The unit produced emits (live or replayed from the journal).
     Done { emits: Vec<Emit>, ms: u128 },
-    /// Every attempt failed (live or replayed from the journal); the
-    /// error is carried as rendered strings so journal replay and live
+    /// The unit failed (live or replayed from the journal); the error
+    /// is carried as rendered strings so journal replay and live
     /// execution are indistinguishable downstream.
-    Failed { kind: String, error: String, attempts: u32 },
+    Failed { kind: String, error: String },
     /// Never ran: the campaign was interrupted first.
     Skipped,
 }
@@ -160,17 +159,14 @@ pub(crate) fn resolved_threads(opts: &CampaignOptions) -> usize {
 }
 
 /// Expand specs into the flat unit pool, remembering each unit's owning
-/// experiment. Units are `Arc`ed so a deadline thread can own its unit.
-pub(crate) fn expand(
-    specs: &[ExperimentSpec],
-    opts: &CampaignOptions,
-) -> (Vec<Arc<Unit>>, Vec<usize>) {
+/// experiment.
+pub(crate) fn expand(specs: &[ExperimentSpec], opts: &CampaignOptions) -> (Vec<Unit>, Vec<usize>) {
     let mut owners: Vec<usize> = Vec::new();
-    let mut pool: Vec<Arc<Unit>> = Vec::new();
+    let mut pool: Vec<Unit> = Vec::new();
     for (si, spec) in specs.iter().enumerate() {
         for unit in (spec.units)(opts) {
             owners.push(si);
-            pool.push(Arc::new(unit));
+            pool.push(unit);
         }
     }
     (pool, owners)
@@ -179,7 +175,7 @@ pub(crate) fn expand(
 pub(crate) fn header_for(
     specs: &[ExperimentSpec],
     opts: &CampaignOptions,
-    pool: &[Arc<Unit>],
+    pool: &[Unit],
 ) -> CampaignHeader {
     CampaignHeader {
         quick: opts.quick,
@@ -190,23 +186,10 @@ pub(crate) fn header_for(
             .schemes
             .as_ref()
             .map(|v| v.iter().map(|s| s.name().to_string()).collect()),
-        unit_timeout_ms: opts.unit_timeout.map(|d| d.as_millis() as u64),
-        unit_retries: opts.unit_retries,
-        audit: opts.audit,
-        stream_stats: opts.stream_stats,
         shard: None,
         argv: opts.argv.clone(),
         labels: pool.iter().map(|u| u.label.clone()).collect(),
     }
-}
-
-/// Seed batch for retry `attempt` (1-based): each seed is perturbed
-/// through `hash2` so a pathological topology draw isn't replayed
-/// verbatim, while staying deterministic per (seed, attempt).
-fn reseeded(opts: &CampaignOptions, attempt: u32) -> CampaignOptions {
-    let mut o = opts.clone();
-    o.seeds = o.seeds.iter().map(|&s| irrnet_core::rng::hash2(s, attempt as u64)).collect();
-    o
 }
 
 fn write_artifact(opts: &CampaignOptions, name: &str, content: &str) -> io::Result<()> {
@@ -219,12 +202,32 @@ fn write_artifact(opts: &CampaignOptions, name: &str, content: &str) -> io::Resu
 
 // ---- execution -----------------------------------------------------------
 
-/// Run one unit to its final outcome: attempt, catch panics/timeouts,
-/// retry with perturbed seeds, journal success or permanent failure.
+/// Render a `catch_unwind` payload the way the default panic hook does.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Run `f`, converting a panic into [`UnitError::Panicked`].
+///
+/// Uses `AssertUnwindSafe`: units run over `Arc`-shared immutable state
+/// (networks, options), so an unwound unit cannot leave torn state
+/// behind for its siblings.
+fn catch_panics<R>(f: impl FnOnce() -> R) -> Result<R, UnitError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| UnitError::Panicked(panic_message(p)))
+}
+
+/// Run one unit once, behind a panic boundary, and journal its emits or
+/// its failure.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_unit(
     index: usize,
-    unit: &Arc<Unit>,
+    unit: &Unit,
     opts: &Arc<CampaignOptions>,
     cache: &Arc<TopoCache>,
     journal: &JournalWriter,
@@ -235,71 +238,37 @@ pub(crate) fn run_unit(
     if stop_requested(opts) {
         return UnitOutcome::Skipped;
     }
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        // Attempt 1 runs the campaign options verbatim (the
-        // byte-identical path); retries perturb the seed batch.
-        let attempt_opts = if attempts == 1 {
-            Arc::clone(opts)
-        } else {
-            Arc::new(reseeded(opts, attempts - 1))
-        };
-        let handle = CacheHandle::new(Arc::clone(cache));
-        let ctx = RunCtx { opts: attempt_opts, cache: handle.clone() };
-        let t0 = Instant::now();
-        let caught = match opts.unit_timeout {
-            // No budget: run inline behind catch_unwind only.
-            None => catch_panics(|| (unit.exec)(&ctx)),
-            // Budget: run on a deadline thread that owns its unit; a
-            // runaway unit is abandoned, not joined.
-            Some(budget) => {
-                let u = Arc::clone(unit);
-                run_with_deadline(budget, move || (u.exec)(&ctx))
-            }
-        };
-        let ms = t0.elapsed().as_millis();
-        let result: Result<Vec<Emit>, UnitError> = match caught {
-            Ok(inner) => inner,
-            Err(iso) => Err(iso.into()),
-        };
-        match result {
-            Ok(emits) => {
-                if let Err(e) =
-                    journal.record(index, &unit.label, ms as u64, &handle.touched(), &emits)
-                {
-                    let mut slot = journal_err.lock().unwrap_or_else(|p| p.into_inner());
-                    slot.get_or_insert(e);
-                }
-                let n = 1 + done.fetch_add(1, Ordering::Relaxed);
-                eprintln!("[{n:>4}/{total}] {} ({ms} ms)", unit.label);
-                return UnitOutcome::Done { emits, ms };
-            }
-            Err(error) => {
-                if attempts <= opts.unit_retries && !stop_requested(opts) {
-                    eprintln!(
-                        "[ RETRY ] {} failed ({}): {error}; retrying with perturbed seeds",
-                        unit.label,
-                        error.kind()
-                    );
-                    continue;
-                }
-                let n = 1 + done.fetch_add(1, Ordering::Relaxed);
-                eprintln!("[{n:>4}/{total}] {} FAILED ({}): {error}", unit.label, error.kind());
-                // Journal the permanent failure so a resume (or a shard
-                // merge) reproduces the manifest's failures array without
-                // re-running the unit.
-                let (kind, error) = (error.kind().to_string(), error.to_string());
-                if let Err(e) =
-                    journal.record_failure(index, &unit.label, &kind, &error, attempts)
-                {
-                    let mut slot = journal_err.lock().unwrap_or_else(|p| p.into_inner());
-                    slot.get_or_insert(e);
-                }
-                return UnitOutcome::Failed { kind, error, attempts };
-            }
+    let handle = CacheHandle::new(Arc::clone(cache));
+    let ctx = RunCtx { opts: Arc::clone(opts), cache: handle.clone() };
+    let t0 = Instant::now();
+    let result = catch_panics(|| (unit.exec)(&ctx)).and_then(|r| r);
+    let ms = t0.elapsed().as_millis();
+    let (recorded, outcome) = match result {
+        Ok(emits) => {
+            let r = journal.record(index, &unit.label, ms as u64, &handle.touched(), &emits);
+            (r, UnitOutcome::Done { emits, ms })
         }
+        // Journal the failure too, so a resume (or a shard merge)
+        // reproduces the manifest's failures array without re-running
+        // the unit.
+        Err(error) => {
+            let (kind, error) = (error.kind().to_string(), error.to_string());
+            let r = journal.record_failure(index, &unit.label, &kind, &error);
+            (r, UnitOutcome::Failed { kind, error })
+        }
+    };
+    if let Err(e) = recorded {
+        let mut slot = journal_err.lock().unwrap_or_else(|p| p.into_inner());
+        slot.get_or_insert(e);
     }
+    let n = 1 + done.fetch_add(1, Ordering::Relaxed);
+    match &outcome {
+        UnitOutcome::Failed { kind, error } => {
+            eprintln!("[{n:>4}/{total}] {} FAILED ({kind}): {error}", unit.label);
+        }
+        _ => eprintln!("[{n:>4}/{total}] {} ({ms} ms)", unit.label),
+    }
+    outcome
 }
 
 /// Run `specs` under `opts`: execute every unit on the shared pool, print
@@ -354,10 +323,6 @@ pub fn resume_campaign(
                 .collect::<io::Result<Vec<_>>>()
         })
         .transpose()?;
-    opts.unit_timeout = h.unit_timeout_ms.map(std::time::Duration::from_millis);
-    opts.unit_retries = h.unit_retries;
-    opts.audit = h.audit;
-    opts.stream_stats = h.stream_stats;
     opts.argv = h.argv.clone();
     opts.stop = stop;
 
@@ -407,7 +372,7 @@ pub fn resume_campaign(
 fn run_pool(
     specs: &[ExperimentSpec],
     opts: &CampaignOptions,
-    pool: Vec<Arc<Unit>>,
+    pool: Vec<Unit>,
     owners: Vec<usize>,
     mut replayed: HashMap<usize, ReplayedUnit>,
     mut replayed_failures: HashMap<usize, ReplayedFailure>,
@@ -415,9 +380,6 @@ fn run_pool(
 ) -> io::Result<CampaignReport> {
     let campaign_start = Instant::now();
     let threads = resolved_threads(opts);
-    if opts.audit {
-        irrnet_sim::set_audit_default(true);
-    }
     let cache = Arc::new(TopoCache::new());
     let opts_arc = Arc::new(opts.clone());
 
@@ -445,11 +407,10 @@ fn run_pool(
             }
             *slot = Some(UnitOutcome::Done { emits: r.emits, ms: r.ms as u128 });
         } else if let Some(f) = replayed_failures.remove(&i) {
-            // A journaled permanent failure replays as-is: the unit
-            // already exhausted its attempts and re-running it would
-            // make resumed artifacts diverge from uninterrupted ones.
-            *slot =
-                Some(UnitOutcome::Failed { kind: f.kind, error: f.error, attempts: f.attempts });
+            // A journaled failure replays as-is: re-running the unit
+            // would make resumed artifacts diverge from uninterrupted
+            // ones.
+            *slot = Some(UnitOutcome::Failed { kind: f.kind, error: f.error });
         }
     }
 
@@ -506,14 +467,13 @@ fn run_pool(
             }
             let (emits, ms) = match outcome {
                 UnitOutcome::Done { emits, ms } => (emits, *ms),
-                UnitOutcome::Failed { kind, error, attempts } => {
+                UnitOutcome::Failed { kind, error } => {
                     failures.push(UnitFailure {
                         experiment: specs[si].name,
                         label: pool[ui].label.clone(),
                         index: ui,
                         kind: kind.clone(),
                         error: error.clone(),
-                        attempts: *attempts,
                     });
                     continue;
                 }
@@ -592,9 +552,9 @@ fn run_pool(
     );
     println!("wrote {}", opts.out_dir.join("manifest.json").display());
     if !report.failures.is_empty() {
-        eprintln!("\n{} unit(s) failed after all retries:", report.failures.len());
+        eprintln!("\n{} unit(s) failed:", report.failures.len());
         for f in &report.failures {
-            eprintln!("  {} [{}] after {} attempt(s): {}", f.label, f.kind, f.attempts, f.error);
+            eprintln!("  {} [{}]: {}", f.label, f.kind, f.error);
         }
     }
     if report.interrupted {
@@ -605,4 +565,22 @@ fn run_pool(
         );
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn catches_value_returns() {
+        assert_eq!(catch_panics(|| 42).ok(), Some(42));
+    }
+
+    #[test]
+    fn catches_str_and_string_panics() {
+        let e = catch_panics(|| -> u32 { panic!("boom") }).unwrap_err();
+        assert!(matches!(&e, UnitError::Panicked(m) if m == "boom"), "{e:?}");
+        let e = catch_panics(|| -> u32 { panic!("fmt {}", 7) }).unwrap_err();
+        assert!(matches!(&e, UnitError::Panicked(m) if m == "fmt 7"), "{e:?}");
+    }
 }

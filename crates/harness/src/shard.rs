@@ -287,9 +287,6 @@ pub fn run_shard(
         &header.argv,
     )?;
 
-    if opts.audit {
-        irrnet_sim::set_audit_default(true);
-    }
     let assigned = spec.assigned(pool.len());
     let todo: Vec<usize> = assigned
         .iter()
@@ -469,7 +466,7 @@ pub fn merge_campaign(dir: &Path, threads: Option<usize>) -> io::Result<Campaign
             lines.insert(u.index, unit_line(u.index, &u.label, u.ms, &u.cache, &u.emits));
         }
         for f in &p.failures {
-            lines.insert(f.index, fail_line(f.index, &f.label, &f.kind, &f.error, f.attempts));
+            lines.insert(f.index, fail_line(f.index, &f.label, &f.kind, &f.error));
         }
     }
     let mut text = header_line(&header);
@@ -579,7 +576,7 @@ pub fn reshard_campaign(
             lines.insert(u.index, unit_line(u.index, &u.label, u.ms, &u.cache, &u.emits));
         }
         for f in &p.failures {
-            lines.insert(f.index, fail_line(f.index, &f.label, &f.kind, &f.error, f.attempts));
+            lines.insert(f.index, fail_line(f.index, &f.label, &f.kind, &f.error));
         }
     }
 

@@ -17,7 +17,6 @@ use crate::journal::{load_journal, JournalError, ParsedJournal, JOURNAL_FILE};
 use crate::lease::{lease_file, load_lease, now_ms, Liveness};
 use crate::registry::Emit;
 use crate::shard::{find_shard_journals, ShardSpec};
-use crate::stats::DurationStats;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -32,10 +31,10 @@ pub struct JournalProgress {
     pub assigned: usize,
     /// Completed units journaled so far.
     pub completed: usize,
-    /// Permanently-failed units journaled so far.
+    /// Failed units journaled so far.
     pub failed: usize,
-    /// Wall-time statistics over the completed units.
-    pub durations: DurationStats,
+    /// Summed wall time of the completed units, in milliseconds.
+    pub busy_ms: u64,
     /// What the shard's lease says about its worker (`None` when no
     /// lease exists — e.g. a single-process journal).
     pub liveness: Option<Liveness>,
@@ -58,10 +57,10 @@ impl JournalProgress {
             Some(spec) => spec.assigned(pool).len(),
             None => pool,
         };
-        let mut durations = DurationStats::default();
+        let mut busy_ms = 0u64;
         let mut err_models = Vec::new();
         for u in &parsed.units {
-            durations.push_ms(u.ms);
+            busy_ms += u.ms;
             for e in &u.emits {
                 if let Emit::Config { kind, hash, .. } = e {
                     if kind == "err" && !err_models.contains(hash) {
@@ -75,7 +74,7 @@ impl JournalProgress {
             assigned,
             completed: parsed.units.len(),
             failed: parsed.failures.len(),
-            durations,
+            busy_ms,
             liveness,
             note: None,
             err_models,
@@ -93,7 +92,7 @@ impl JournalProgress {
             assigned,
             completed: 0,
             failed: 0,
-            durations: DurationStats::default(),
+            busy_ms: 0,
             liveness,
             note: Some(note),
             err_models: Vec::new(),
@@ -103,6 +102,11 @@ impl JournalProgress {
     /// Units still to run.
     pub fn remaining(&self) -> usize {
         self.assigned.saturating_sub(self.completed + self.failed)
+    }
+
+    /// Mean wall time of the completed units (`None` before the first).
+    fn mean_ms(&self) -> Option<f64> {
+        (self.completed > 0).then(|| self.busy_ms as f64 / self.completed as f64)
     }
 
     fn row(&self) -> String {
@@ -128,15 +132,16 @@ impl JournalProgress {
         }
         let done = self.completed + self.failed;
         let pct = (100 * done).checked_div(self.assigned).unwrap_or(100);
-        let mean = match self.durations.mean_ms() {
-            Some(m) => DurationStats::human_ms(m.round() as u64),
+        let mean = match self.mean_ms() {
+            Some(m) => human_ms(m.round() as u64),
             None => "-".into(),
         };
+        // A naive single-worker ETA at the mean rate observed so far.
         let eta = if self.remaining() == 0 {
             "done".to_string()
         } else {
-            match self.durations.eta_ms(self.remaining()) {
-                Some(ms) => format!("~{}", DurationStats::human_ms(ms)),
+            match self.mean_ms() {
+                Some(m) => format!("~{}", human_ms((m * self.remaining() as f64).round() as u64)),
                 None => "?".into(),
             }
         };
@@ -144,6 +149,18 @@ impl JournalProgress {
             "{name:<12} {done:>5}/{:<5} {pct:>3}%  {:>4} failed  {mean:>9}/unit  eta {eta}{live}",
             self.assigned, self.failed
         )
+    }
+}
+
+/// Render a millisecond quantity compactly (`850 ms`, `12.3 s`,
+/// `4.5 min`).
+fn human_ms(ms: u64) -> String {
+    if ms < 1_000 {
+        format!("{ms} ms")
+    } else if ms < 60_000 {
+        format!("{:.1} s", ms as f64 / 1_000.0)
+    } else {
+        format!("{:.1} min", ms as f64 / 60_000.0)
     }
 }
 
@@ -284,10 +301,6 @@ mod tests {
             trials: 1,
             experiments: vec!["fig06".into()],
             schemes: None,
-            unit_timeout_ms: None,
-            unit_retries: 0,
-            audit: false,
-            stream_stats: false,
             shard,
             argv: vec![],
             labels: (0..5).map(|i| format!("u{i}")).collect(),
@@ -301,7 +314,7 @@ mod tests {
             "{}{}{}",
             header_line(&header(Some(spec))),
             unit_line(0, "u0", 120, &[], &[Emit::Table("t".into())]),
-            fail_line(2, "u2", "panic", "boom", 1),
+            fail_line(2, "u2", "panic", "boom"),
         );
         let parsed = parse_journal(&text).unwrap();
         let p = JournalProgress::of(&parsed, parsed.header.shard, None);
@@ -313,13 +326,31 @@ mod tests {
     }
 
     #[test]
+    fn human_ms_picks_sane_units() {
+        assert_eq!(human_ms(850), "850 ms");
+        assert_eq!(human_ms(12_300), "12.3 s");
+        assert_eq!(human_ms(270_000), "4.5 min");
+    }
+
+    #[test]
     fn single_process_journal_is_reported_whole() {
         let text = header_line(&header(None));
         let parsed = parse_journal(&text).unwrap();
         let p = JournalProgress::of(&parsed, None, None);
         assert_eq!((p.assigned, p.completed, p.remaining()), (5, 0, 5));
+        assert!(p.row().contains("-/unit  eta ?"), "{}", p.row());
         let rendered = render_status(Path::new("out"), &[p]);
         assert!(rendered.contains("campaign"), "{rendered}");
+
+        // Three units at 100, 200 and 300 ms: a 200 ms mean, and two
+        // units left at that rate.
+        let text = (0..3).fold(text, |t, i| {
+            t + &unit_line(i, &format!("u{i}"), 100 * (i as u64 + 1), &[], &[])
+        });
+        let p = JournalProgress::of(&parse_journal(&text).unwrap(), None, None);
+        assert_eq!((p.completed, p.busy_ms, p.remaining()), (3, 600, 2));
+        let row = p.row();
+        assert!(row.contains("200 ms/unit") && row.contains("eta ~400 ms"), "{row}");
     }
 
     #[test]

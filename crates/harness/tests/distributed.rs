@@ -241,29 +241,22 @@ fn merge_refuses_corrupt_record_naming_file_and_line() {
 }
 
 #[test]
-fn streaming_stats_shards_merge_byte_identical_too() {
-    // The bounded-memory statistics path must be just as deterministic
-    // under sharding as the exact path (its summaries are pure functions
-    // of each unit's sample stream, which sharding doesn't change).
+fn windowed_experiment_shards_merge_byte_identical() {
+    // ext_d summarizes each run's measurement window (launch-window
+    // latencies, percentiles); sharding must not change a byte of it.
     let specs = resolve(&["ext_d".to_string()]).unwrap();
 
-    let base = tmp_dir("stream-base");
-    let mut opts = quick_opts(&base);
-    opts.stream_stats = true;
-    let baseline = run_campaign(&specs, &opts).unwrap();
+    let base = tmp_dir("windowed-base");
+    let baseline = run_campaign(&specs, &quick_opts(&base)).unwrap();
     assert!(baseline.failures.is_empty());
-    let manifest = std::fs::read_to_string(base.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"stream_stats\": true"), "manifest records the stats mode");
 
-    let dir = tmp_dir("stream");
+    let dir = tmp_dir("windowed");
     for index in 0..2 {
-        let mut opts = quick_opts(&dir);
-        opts.stream_stats = true;
-        run_shard(&specs, &opts, ShardSpec { index, count: 2 }, &worker()).unwrap();
+        run_shard(&specs, &quick_opts(&dir), ShardSpec { index, count: 2 }, &worker()).unwrap();
     }
     let merged = merge_campaign(&dir, None).unwrap();
     assert!(merged.failures.is_empty());
-    assert_same_artifacts(&base, &dir, "streaming-stats 2-way shard");
+    assert_same_artifacts(&base, &dir, "ext_d 2-way shard");
 
     for d in [base, dir] {
         std::fs::remove_dir_all(d).ok();

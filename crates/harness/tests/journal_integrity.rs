@@ -1,4 +1,4 @@
-//! Journal format v3 integrity properties.
+//! Journal integrity properties (the per-record checksums added in format v3).
 //!
 //! The per-record checksum must make *any* single-byte flip anywhere in
 //! a journal — header, record payload, or the checksum field itself —
@@ -23,10 +23,6 @@ fn sample_journal() -> (CampaignHeader, String) {
         trials: 2,
         experiments: vec!["fig06".into()],
         schemes: None,
-        unit_timeout_ms: Some(30_000),
-        unit_retries: 1,
-        audit: false,
-        stream_stats: false,
         shard: Some(ShardSpec { index: 0, count: 2 }),
         argv: vec!["work".into(), "out".into(), "--shard".into(), "0/2".into()],
         labels: (0..6).map(|i| format!("u{i}")).collect(),
@@ -51,7 +47,7 @@ fn sample_journal() -> (CampaignHeader, String) {
         header_line(&header),
         unit_line(0, "u0", 42, &["topo{seed=0}".to_string()], &emits),
         unit_line(2, "u2", 7, &[], &[Emit::Table("t".into())]),
-        fail_line(4, "u4", "timeout", "exceeded \"budget\"", 2),
+        fail_line(4, "u4", "sim", "simulation failed: \"cycle limit\""),
         unit_line(5, "u5", 9, &[], &[Emit::Csv { name: "y.csv".into(), content: "k\n".into() }]),
     );
     // parse_journal checks structure, not shard ownership (that's the
@@ -129,7 +125,7 @@ fn intact_journals_round_trip_byte_identically() {
         header_line(&parsed.header),
         unit_line(u[0].index, &u[0].label, u[0].ms, &u[0].cache, &u[0].emits),
         unit_line(u[1].index, &u[1].label, u[1].ms, &u[1].cache, &u[1].emits),
-        fail_line(f.index, &f.label, &f.kind, &f.error, f.attempts),
+        fail_line(f.index, &f.label, &f.kind, &f.error),
         unit_line(u[2].index, &u[2].label, u[2].ms, &u[2].cache, &u[2].emits),
     );
     assert_eq!(rebuilt, text, "parse + re-serialize must be the identity");

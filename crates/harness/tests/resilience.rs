@@ -1,16 +1,16 @@
-//! Campaign-resilience guarantees: faulty units are isolated, retried,
-//! and recorded (never fatal); an interrupted campaign's journal resumes
+//! Campaign-resilience guarantees: faulty units are isolated and
+//! recorded (never fatal); an interrupted campaign's journal resumes
 //! to byte-identical artifacts; and the simulator's invariant auditor
 //! turns internal-state corruption into a typed error instead of silent
 //! bad data.
 
+use irrnet_harness::error::UnitError;
 use irrnet_harness::opts::CampaignOptions;
 use irrnet_harness::registry::{resolve, Emit, ExperimentSpec, RunCtx, Unit};
 use irrnet_harness::runner::{resume_campaign, run_campaign};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("irrnet-resil-{}-{tag}", std::process::id()));
@@ -33,7 +33,7 @@ fn manifest_bool(dir: &Path, key: &str) -> Option<bool> {
     None
 }
 
-// ---- faulty units are isolated, retried, and recorded --------------------
+// ---- faulty units are isolated and recorded ------------------------------
 
 fn faulty_units(_opts: &CampaignOptions) -> Vec<Unit> {
     vec![
@@ -43,18 +43,8 @@ fn faulty_units(_opts: &CampaignOptions) -> Vec<Unit> {
         Unit::new("resil:panics", |_ctx: &RunCtx| -> Result<Vec<Emit>, _> {
             panic!("deliberate test panic")
         }),
-        Unit::new("resil:slow", |_ctx: &RunCtx| {
-            std::thread::sleep(Duration::from_secs(2));
-            Ok(vec![])
-        }),
-        // Fails on the campaign's own seed batch, succeeds on any
-        // perturbed one: a transient failure that one retry fixes.
-        Unit::new("resil:flaky", |ctx: &RunCtx| {
-            if ctx.opts.seeds == vec![0, 1, 2] {
-                Err(irrnet_harness::error::UnitError::Msg("transient failure".into()))
-            } else {
-                Ok(vec![])
-            }
+        Unit::new("resil:errs", |_ctx: &RunCtx| -> Result<Vec<Emit>, _> {
+            Err(UnitError::Msg("deliberate test error".into()))
         }),
     ]
 }
@@ -67,38 +57,30 @@ fn faulty_units_become_recorded_failures_not_dead_campaigns() {
     let mut opts = CampaignOptions::quick();
     opts.out_dir = dir.clone();
     opts.threads = Some(2);
-    opts.unit_timeout = Some(Duration::from_millis(300));
-    opts.unit_retries = 1;
 
     let report = run_campaign(std::slice::from_ref(&spec), &opts).unwrap();
 
     assert!(!report.interrupted);
-    let mut failed: Vec<(&str, &str, u32)> = report
+    let failed: Vec<(&str, &str, &str)> = report
         .failures
         .iter()
-        .map(|f| (f.label.as_str(), f.kind.as_str(), f.attempts))
+        .map(|f| (f.label.as_str(), f.kind.as_str(), f.error.as_str()))
         .collect();
-    failed.sort();
     assert_eq!(
         failed,
-        vec![("resil:panics", "panic", 2), ("resil:slow", "timeout", 2)],
-        "exactly the panicking and runaway units fail, each after 1 retry"
+        vec![
+            ("resil:panics", "panic", "panicked: deliberate test panic"),
+            ("resil:errs", "other", "deliberate test error"),
+        ],
+        "exactly the panicking and erring units fail, in pool order, with their messages"
     );
-    let panic_failure =
-        report.failures.iter().find(|f| f.label == "resil:panics").unwrap();
-    assert!(
-        panic_failure.error.contains("deliberate test panic"),
-        "panic payload survives isolation: {}",
-        panic_failure.error
-    );
-    // The flaky unit recovered on its reseeded retry; the healthy unit's
-    // artifact was still written; the completed units (ok + flaky) are
-    // counted, the failed ones are gaps.
-    assert_eq!(report.experiments[0].units, 2);
+    // The healthy unit's artifact was still written; it is the one
+    // completed unit, and the failed ones are gaps.
+    assert_eq!(report.experiments[0].units, 1);
     assert!(dir.join("resil_ok.csv").exists());
     let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("resil:panics") && manifest.contains("resil:slow"));
-    assert!(!manifest.contains("resil:flaky"), "recovered units are not failures");
+    assert!(manifest.contains("resil:panics") && manifest.contains("resil:errs"));
+    assert!(manifest.contains("deliberate test error"), "{manifest}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

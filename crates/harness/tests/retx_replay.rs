@@ -1,5 +1,5 @@
 //! Seeded-stream determinism of the NI retransmission backoff under the
-//! v3 journal: the backoff draws a unit makes must be byte-identical
+//! run journal: the backoff draws a unit makes must be byte-identical
 //! whether the unit runs uninterrupted, is replayed by a crashed
 //! worker's `resume`, or is replayed by a different worker adopting the
 //! shard with `work --take-over`. The ext_f and ext_i units both lean on

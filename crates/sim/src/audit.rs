@@ -30,9 +30,9 @@
 //! [`SimError::InvariantViolation`](crate::error::SimError) instead of
 //! silently corrupting results. Auditing is **off by default** (the
 //! healthy path pays one branch per active cycle) and enabled per
-//! simulator with [`Simulator::enable_audit`](crate::Simulator), process
-//! wide with [`set_audit_default`], or via the `IRRNET_AUDIT=1`
-//! environment variable (read once).
+//! simulator with [`Simulator::enable_audit`](crate::Simulator), or
+//! process wide with the `IRRNET_AUDIT=1` environment variable (read
+//! once; see [`default_enabled`]).
 //!
 //! # Sweep cadence and clock jumps
 //!
@@ -51,30 +51,15 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-static AUDIT_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide default for new [`Simulator`](crate::Simulator)s: when
-/// true, every subsequently constructed simulator audits its invariants
-/// each network sweep (the `--audit` campaign flag sets this once at
-/// startup, so no per-callsite plumbing is needed).
-pub fn set_audit_default(on: bool) {
-    AUDIT_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-fn env_enabled() -> bool {
+/// Whether new simulators should audit: the `IRRNET_AUDIT` environment
+/// variable, read once per process (set and not `0`).
+pub fn default_enabled() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
     *ENV.get_or_init(|| {
         std::env::var("IRRNET_AUDIT").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
     })
-}
-
-/// Whether new simulators should audit: the [`set_audit_default`] flag
-/// or the `IRRNET_AUDIT` environment variable (read once per process).
-pub fn default_enabled() -> bool {
-    AUDIT_DEFAULT.load(Ordering::SeqCst) || env_enabled()
 }
 
 /// Which engine invariant failed.
@@ -168,17 +153,6 @@ pub struct Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_is_off_and_settable() {
-        // Note: process-global; tests that enable it must restore it.
-        let before = default_enabled();
-        set_audit_default(true);
-        assert!(default_enabled());
-        set_audit_default(false);
-        assert_eq!(default_enabled(), env_enabled());
-        set_audit_default(before);
-    }
 
     #[test]
     fn violations_render_their_site() {

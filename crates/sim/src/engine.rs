@@ -5,8 +5,8 @@
 //! arbitrate / transfer) on cycles where some component can possibly make
 //! progress. Everything else is skipped: each switch and host either sits
 //! on the hot `active_sw`/`active_tx` lists (swept every executed cycle),
-//! parks with a [`Event::SwitchWake`]/[`Event::HostWake`] entry on the
-//! event heap (self-timed work such as a pending routing decode), or
+//! parks with a `SwitchWake`/`HostWake` entry on the event heap
+//! (self-timed work such as a pending routing decode), or
 //! parks with *no* wake at all and is re-armed by whichever component
 //! frees the resource it blocks on — a flit arrival, a returned buffer
 //! credit, a fault kill, or a watchdog recovery. Between executed sweeps

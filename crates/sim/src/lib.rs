@@ -47,7 +47,7 @@ pub mod switch;
 pub mod trace;
 pub mod worm;
 
-pub use audit::{set_audit_default, InvariantKind, InvariantViolation};
+pub use audit::{InvariantKind, InvariantViolation};
 pub use config::{Cycle, LinkRetryPolicy, RetxPolicy, SimConfig};
 pub use engine::Simulator;
 pub use error::{BranchSnapshot, DeadlockDiagnostics, SimError, StuckFrame, TxBacklog};

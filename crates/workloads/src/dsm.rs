@@ -43,11 +43,6 @@ pub struct DsmConfig {
     pub drain: Cycle,
     /// RNG seed.
     pub seed: u64,
-    /// Stream the latency distribution through bounded-memory sketches
-    /// instead of buffering every sample (ε-approximate quantiles; see
-    /// [`crate::stats::STREAM_EPS`]). Off by default — goldens pin the
-    /// exact path.
-    pub stream_stats: bool,
 }
 
 impl Default for DsmConfig {
@@ -62,7 +57,6 @@ impl Default for DsmConfig {
             measure: 200_000,
             drain: 100_000,
             seed: 0xD5,
-            stream_stats: false,
         }
     }
 }
@@ -130,7 +124,7 @@ pub fn run_dsm(
     let horizon = cfg.warmup + cfg.measure;
     let stop = Stop::At(horizon + cfg.drain);
     let out = Scenario::new(net, sim_cfg, scheme, cfg.inval_flits, trace, stop).run()?;
-    Ok(window(&out.stats, cfg.warmup, horizon, cfg.stream_stats))
+    Ok(window(&out.stats, cfg.warmup, horizon))
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! Bad input (a degree that leaves no room for the source, an empty
 //! message, a rate that is not finite and positive) is a typed
 //! [`WorkloadError`], reported before anything is drawn. The crate also
-//! holds parameter sweeps, the campaign's worker pool and failure
-//! isolation, latency statistics, and figure-shaped reporting.
+//! holds parameter sweeps, the campaign's worker pool, latency
+//! statistics, and figure-shaped reporting.
 //!
 //! The `irrnet-run` experiments (crate `irrnet-harness`) are built on
 //! this crate; using it directly looks like:
@@ -36,7 +36,6 @@
 //! ```
 
 pub mod dsm;
-pub mod isolate;
 pub mod load;
 pub mod periodic;
 pub mod report;
@@ -46,11 +45,10 @@ pub mod stats;
 pub mod sweep;
 
 pub use dsm::{generate_trace, run_dsm, DsmConfig};
-pub use isolate::{catch_panics, run_with_deadline, IsolationError};
 pub use load::{run_load, LoadConfig, LoadResult};
 pub use periodic::{run_periodic, PeriodicConfig, PeriodicResult};
 pub use report::Series;
 pub use scenario::{Launch, Outcome, Scenario, Stop, WorkloadError};
 pub use single::{mean_single_latency, random_dests, random_mcast, run_single, SingleResult};
-pub use stats::{quantile, GkSketch, OnlineStats, StreamingSummary, Summary, STREAM_EPS};
+pub use stats::{quantile, Summary};
 pub use sweep::{par_run_with, point_seed, single_sweep_serial, SinglePoint, SweepRow};

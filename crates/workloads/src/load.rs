@@ -15,7 +15,7 @@
 
 use crate::scenario::{check_rate, check_shape, Scenario, Stop, WorkloadError};
 use crate::single::random_dests;
-use crate::stats::{StreamingSummary, Summary};
+use crate::stats::Summary;
 use irrnet_core::rng::SmallRng;
 use irrnet_core::SchemeId;
 use irrnet_sim::{Cycle, SimConfig, SimStats};
@@ -40,12 +40,6 @@ pub struct LoadConfig {
     pub drain: Cycle,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Stream the latency distribution through bounded-memory sketches
-    /// ([`crate::stats::StreamingSummary`]) instead of buffering every
-    /// sample. Quantiles become ε-approximate (rank error ≤ ⌈εn⌉ at
-    /// ε = [`crate::stats::STREAM_EPS`]); off by default — the exact
-    /// buffered path is what the goldens are pinned against.
-    pub stream_stats: bool,
 }
 
 impl LoadConfig {
@@ -59,7 +53,6 @@ impl LoadConfig {
             measure: 900_000,
             drain: 300_000,
             seed: 0xF00D,
-            stream_stats: false,
         }
     }
 
@@ -143,39 +136,27 @@ pub fn run_load(
 
     let stop = Stop::At(horizon + lc.drain);
     let out = Scenario::new(net, cfg, scheme, lc.message_flits, launches, stop).run()?;
-    Ok(window(&out.stats, lc.warmup, horizon, lc.stream_stats))
+    Ok(window(&out.stats, lc.warmup, horizon))
 }
 
 /// Summarize the multicasts launched in `[from, to)`.
-///
-/// Streaming mode folds each latency into O((1/ε)·log(εn)) sketch state
-/// as it is seen; the exact mode buffers for the sort-based quantiles the
-/// goldens pin.
-pub(crate) fn window(stats: &SimStats, from: Cycle, to: Cycle, stream: bool) -> LoadResult {
+pub(crate) fn window(stats: &SimStats, from: Cycle, to: Cycle) -> LoadResult {
     let mut launched = 0usize;
-    let mut completed = 0usize;
     let mut samples = Vec::new();
-    let mut streaming = stream.then(StreamingSummary::default_eps);
     for r in stats.mcasts.values().filter(|r| r.launched >= from && r.launched < to) {
         launched += 1;
         if let Some(l) = r.latency() {
-            completed += 1;
-            match &mut streaming {
-                Some(s) => s.push(l as f64),
-                None => samples.push(l as f64),
-            }
+            samples.push(l as f64);
         }
     }
+    let completed = samples.len();
     LoadResult {
         mean_latency: stats.mean_latency_in_window(from, to),
         launched,
         completed,
         completed_all: stats.completed_count(),
         saturated: launched > 0 && (completed as f64) < 0.9 * launched as f64,
-        latency: match &streaming {
-            Some(s) => s.summary(),
-            None => Summary::of(&samples),
-        },
+        latency: Summary::of(&samples),
         cycles_run: stats.cycles_run,
         sweeps_run: stats.sweeps_run,
     }
@@ -196,31 +177,7 @@ mod tests {
             measure: 120_000,
             drain: 80_000,
             seed: 7,
-            stream_stats: false,
         }
-    }
-
-    #[test]
-    fn streaming_stats_agree_with_exact_path() {
-        let net = Network::analyze(zoo::paper_example().unwrap()).unwrap();
-        let cfg = SimConfig::paper_default();
-        let exact = run_load(&net, &cfg, SchemeId::TREE, &quick_lc(0.1)).unwrap();
-        let mut lc = quick_lc(0.1);
-        lc.stream_stats = true;
-        let streamed = run_load(&net, &cfg, SchemeId::TREE, &lc).unwrap();
-        // The run itself is identical; only the summary path differs.
-        assert_eq!(exact.launched, streamed.launched);
-        assert_eq!(exact.completed, streamed.completed);
-        assert_eq!(exact.mean_latency, streamed.mean_latency);
-        let (e, s) = (exact.latency.unwrap(), streamed.latency.unwrap());
-        assert_eq!(e.n, s.n);
-        assert!((e.mean - s.mean).abs() / e.mean < 1e-9);
-        assert_eq!((e.min, e.max), (s.min, s.max));
-        // Quantiles within the ε rank bound: with a few hundred samples
-        // and ε = 0.001, ⌈εn⌉ = 1 rank of slack.
-        let slack = (e.max - e.min) * 0.25 + 1.0;
-        assert!((e.p50 - s.p50).abs() <= slack, "p50 {} vs {}", e.p50, s.p50);
-        assert!((e.p99 - s.p99).abs() <= slack, "p99 {} vs {}", e.p99, s.p99);
     }
 
     #[test]

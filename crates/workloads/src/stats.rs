@@ -1,19 +1,7 @@
 //! Small, dependency-free summary statistics for experiment outputs:
 //! means, standard deviations, and quantiles of latency samples.
-//!
-//! Two families live here:
-//!
-//! * the exact path — [`Summary::of`] buffers every sample, sorts, and
-//!   interpolates quantiles; this is what the paper-fidelity goldens are
-//!   pinned against, and it stays the default;
-//! * the streaming path — [`OnlineStats`] (Welford mean/variance) and
-//!   [`GkSketch`] (a Greenwald–Khanna ε-approximate quantile sketch),
-//!   combined by [`StreamingSummary`] — which holds O((1/ε)·log(εn))
-//!   memory instead of O(n), so million-sample load runs stay bounded.
-//!   The sketch is fully deterministic: the same insertion sequence
-//!   always yields the same tuples and the same quantile answers, and
-//!   every returned quantile is an *inserted value* whose rank is within
-//!   ⌈εn⌉ of the requested rank.
+//! [`Summary::of`] buffers every sample, sorts, and interpolates
+//! quantiles; this is what the paper-fidelity goldens are pinned against.
 
 /// Summary of a sample of latencies (or any nonnegative metric).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,287 +79,6 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-// ---- streaming statistics -------------------------------------------------
-
-/// Default rank-error bound ε for streaming quantile sketches: a
-/// reported quantile's rank is within ⌈εn⌉ = n/1000 of the exact rank.
-pub const STREAM_EPS: f64 = 0.001;
-
-/// Online mean/variance/extrema over a stream of samples, in O(1)
-/// memory (Welford's algorithm). Deterministic for a fixed insertion
-/// order; two accumulators can be [`merge`](OnlineStats::merge)d
-/// (Chan et al. pairwise update), so per-shard statistics combine
-/// without re-reading samples.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one sample in.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(!x.is_nan(), "NaN sample");
-        if self.n == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Fold another accumulator in, as if its samples had been pushed
-    /// here (parallel/pairwise variance update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.n += other.n;
-    }
-
-    /// Samples seen.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (n−1 denominator; 0 for n < 2).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 for an empty accumulator).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 for an empty accumulator).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-/// One Greenwald–Khanna tuple: `v` covers `g` ranks ending at
-/// rmin(i) = Σ g_j (j ≤ i), with rank uncertainty `delta`.
-#[derive(Debug, Clone, Copy)]
-struct GkTuple {
-    v: f64,
-    g: u64,
-    delta: u64,
-}
-
-/// Deterministic ε-approximate quantile sketch (Greenwald–Khanna 2001).
-///
-/// Invariant: for every tuple, `g + delta ≤ ⌊2εn⌋ + 1`, which bounds the
-/// rank uncertainty of any answer by ⌈εn⌉. Memory is
-/// O((1/ε)·log(εn)) tuples — for ε = 0.001 and a million samples, a few
-/// thousand tuples instead of a million buffered floats. Everything
-/// (insertion position, compression, query) is a pure function of the
-/// insertion sequence, so identically-fed sketches answer identically.
-#[derive(Debug, Clone)]
-pub struct GkSketch {
-    eps: f64,
-    n: u64,
-    tuples: Vec<GkTuple>,
-    since_compress: u64,
-}
-
-impl GkSketch {
-    /// Empty sketch with rank-error bound `eps` (0 < eps < 1).
-    pub fn new(eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
-        GkSketch { eps, n: 0, tuples: Vec::new(), since_compress: 0 }
-    }
-
-    /// Samples seen.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Tuples currently held (the memory footprint).
-    pub fn tuples(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// The configured rank-error bound.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// Fold one sample in.
-    pub fn push(&mut self, v: f64) {
-        debug_assert!(!v.is_nan(), "NaN sample");
-        // First tuple at or above v; ties insert before the run of equal
-        // values — a fixed, order-independent-of-nothing rule that keeps
-        // the sketch deterministic.
-        let idx = self.tuples.partition_point(|t| t.v < v);
-        let delta = if idx == 0 || idx == self.tuples.len() {
-            0 // new minimum or maximum: rank exactly known
-        } else {
-            (2.0 * self.eps * self.n as f64).floor() as u64
-        };
-        self.tuples.insert(idx, GkTuple { v, g: 1, delta });
-        self.n += 1;
-        self.since_compress += 1;
-        if self.since_compress as f64 >= 1.0 / (2.0 * self.eps) {
-            self.compress();
-            self.since_compress = 0;
-        }
-    }
-
-    /// Merge adjacent tuples whose combined uncertainty stays within the
-    /// invariant, scanning from the tail so freshly inserted tuples fold
-    /// into their successors first. The first and last tuples (exact min
-    /// and max) are never removed.
-    fn compress(&mut self) {
-        let cap = (2.0 * self.eps * self.n as f64).floor() as u64;
-        let mut i = self.tuples.len().wrapping_sub(2);
-        while i >= 1 && i < self.tuples.len() - 1 {
-            let merged = self.tuples[i].g + self.tuples[i + 1].g + self.tuples[i + 1].delta;
-            if merged <= cap {
-                self.tuples[i + 1].g += self.tuples[i].g;
-                self.tuples.remove(i);
-            }
-            i = i.wrapping_sub(1);
-        }
-    }
-
-    /// The ε-approximate `q`-quantile (`q ∈ [0, 1]`): an inserted value
-    /// whose rank is within ⌈εn⌉ of ⌈q·n⌉. `None` on an empty sketch.
-    /// `q = 0` and `q = 1` return the exact minimum and maximum.
-    pub fn query(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "q out of range");
-        if self.n == 0 {
-            return None;
-        }
-        // The first and last tuples are never compressed away, so the
-        // endpoints are the exact extrema.
-        if q == 0.0 {
-            return Some(self.tuples[0].v);
-        }
-        if q == 1.0 {
-            return Some(self.tuples[self.tuples.len() - 1].v);
-        }
-        let rank = ((q * self.n as f64).ceil() as u64).max(1);
-        let margin = (self.eps * self.n as f64).ceil() as u64;
-        // Return the first tuple whose whole rank range fits within the
-        // margin; fall back to the least-bad tuple (ties keep the first,
-        // so the answer is deterministic).
-        let mut rmin = 0u64;
-        let mut best: Option<(u64, f64)> = None;
-        for t in &self.tuples {
-            rmin += t.g;
-            let rmax = rmin + t.delta;
-            let err = rank.saturating_sub(rmin).max(rmax.saturating_sub(rank));
-            if err <= margin {
-                return Some(t.v);
-            }
-            if best.map(|(e, _)| err < e).unwrap_or(true) {
-                best = Some((err, t.v));
-            }
-        }
-        best.map(|(_, v)| v)
-    }
-}
-
-/// Bounded-memory replacement for buffering samples and calling
-/// [`Summary::of`]: exact n/mean/σ/min/max via [`OnlineStats`], plus
-/// ε-approximate p50/p95/p99 from one shared [`GkSketch`].
-#[derive(Debug, Clone)]
-pub struct StreamingSummary {
-    stats: OnlineStats,
-    sketch: GkSketch,
-}
-
-impl StreamingSummary {
-    /// Empty accumulator with rank-error bound `eps`.
-    pub fn new(eps: f64) -> Self {
-        StreamingSummary { stats: OnlineStats::new(), sketch: GkSketch::new(eps) }
-    }
-
-    /// Empty accumulator at the default [`STREAM_EPS`] bound.
-    pub fn default_eps() -> Self {
-        Self::new(STREAM_EPS)
-    }
-
-    /// Fold one sample in.
-    pub fn push(&mut self, x: f64) {
-        self.stats.push(x);
-        self.sketch.push(x);
-    }
-
-    /// Samples seen.
-    pub fn n(&self) -> u64 {
-        self.stats.n()
-    }
-
-    /// Render as a [`Summary`]. Mean/σ/min/max are exact (same
-    /// recurrence, not the buffered sum — documented as the streaming
-    /// path); p50/p95/p99 carry the sketch's ⌈εn⌉ rank-error bound.
-    /// `None` when no sample was pushed.
-    pub fn summary(&self) -> Option<Summary> {
-        if self.stats.n() == 0 {
-            return None;
-        }
-        Some(Summary {
-            n: self.stats.n() as usize,
-            mean: self.stats.mean(),
-            std_dev: self.stats.std_dev(),
-            min: self.stats.min(),
-            p50: self.sketch.query(0.50).expect("non-empty sketch"),
-            p95: self.sketch.query(0.95).expect("non-empty sketch"),
-            p99: self.sketch.query(0.99).expect("non-empty sketch"),
-            max: self.stats.max(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,157 +130,5 @@ mod tests {
     #[should_panic(expected = "q out of range")]
     fn bad_quantile_panics() {
         quantile(&[1.0], 1.5);
-    }
-
-    // ---- streaming path --------------------------------------------------
-
-    #[test]
-    fn online_stats_match_exact_summary() {
-        let samples: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64).collect();
-        let exact = Summary::of(&samples).unwrap();
-        let mut o = OnlineStats::new();
-        for &x in &samples {
-            o.push(x);
-        }
-        assert_eq!(o.n() as usize, exact.n);
-        assert!((o.mean() - exact.mean).abs() < 1e-9);
-        assert!((o.std_dev() - exact.std_dev).abs() < 1e-9);
-        assert_eq!(o.min(), exact.min);
-        assert_eq!(o.max(), exact.max);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 100.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (a_half, b_half) = xs.split_at(123);
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in a_half {
-            a.push(x);
-        }
-        for &x in b_half {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.n(), whole.n());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-6);
-        assert_eq!((a.min(), a.max()), (whole.min(), whole.max()));
-        // Merging into an empty accumulator copies.
-        let mut e = OnlineStats::new();
-        e.merge(&whole);
-        assert_eq!(e.n(), whole.n());
-        assert_eq!(e.mean(), whole.mean());
-    }
-
-    /// Exact rank range of `v` in `sorted`: [#smaller + 1, #not-larger].
-    fn rank_range(sorted: &[f64], v: f64) -> (u64, u64) {
-        let below = sorted.partition_point(|&x| x < v) as u64;
-        let not_above = sorted.partition_point(|&x| x <= v) as u64;
-        (below + 1, not_above)
-    }
-
-    #[test]
-    fn gk_sketch_respects_rank_error_bound() {
-        // Several seeded distributions via the in-tree PRNG; the sketch's
-        // guarantee must hold on every one of them.
-        use irrnet_core::rng::SmallRng;
-        let eps = 0.01;
-        for seed in [1u64, 2, 3] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let dists: Vec<(&str, Vec<f64>)> = vec![
-                ("uniform", (0..20_000).map(|_| rng.gen_range(0.0..1000.0)).collect()),
-                (
-                    "exponential-ish",
-                    (0..20_000)
-                        .map(|_| -rng.gen_range(f64::EPSILON..1.0).ln() * 250.0)
-                        .collect(),
-                ),
-                ("sorted", (0..20_000).map(|i| i as f64).collect()),
-                ("reversed", (0..20_000).rev().map(|i| i as f64).collect()),
-                ("constant", vec![42.0; 20_000]),
-            ];
-            for (name, xs) in dists {
-                let mut sk = GkSketch::new(eps);
-                for &x in &xs {
-                    sk.push(x);
-                }
-                let mut sorted = xs.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let n = xs.len() as f64;
-                let margin = (eps * n).ceil() as u64;
-                for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-                    let est = sk.query(q).unwrap();
-                    let target = ((q * n).ceil() as u64).max(1);
-                    let (lo, hi) = rank_range(&sorted, est);
-                    assert!(
-                        lo <= target + margin && hi + margin >= target,
-                        "{name} seed {seed}: q={q} est={est} rank∈[{lo},{hi}] \
-                         target={target} margin={margin}"
-                    );
-                }
-                assert_eq!(sk.query(0.0), Some(sorted[0]), "{name}: exact min");
-                assert_eq!(sk.query(1.0), Some(sorted[sorted.len() - 1]), "{name}: exact max");
-            }
-        }
-    }
-
-    #[test]
-    fn gk_sketch_is_bounded_memory_and_deterministic() {
-        use irrnet_core::rng::SmallRng;
-        let mut rng = SmallRng::seed_from_u64(7);
-        let xs: Vec<f64> = (0..200_000).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let feed = |xs: &[f64]| {
-            let mut sk = GkSketch::new(STREAM_EPS);
-            for &x in xs {
-                sk.push(x);
-            }
-            sk
-        };
-        let a = feed(&xs);
-        let b = feed(&xs);
-        // Deterministic: identically-fed sketches answer identically.
-        for q in [0.01, 0.5, 0.9, 0.99] {
-            assert_eq!(a.query(q), b.query(q));
-        }
-        assert_eq!(a.tuples(), b.tuples());
-        // Bounded: a sketch over 200k samples holds a few thousand
-        // tuples, not 200k floats (O((1/ε)·log(εn))).
-        assert!(
-            a.tuples() < 20_000,
-            "sketch holds {} tuples for 200k samples",
-            a.tuples()
-        );
-    }
-
-    #[test]
-    fn streaming_summary_tracks_exact_summary() {
-        use irrnet_core::rng::SmallRng;
-        let mut rng = SmallRng::seed_from_u64(11);
-        let xs: Vec<f64> = (0..50_000).map(|_| rng.gen_range(0.0..10_000.0)).collect();
-        let exact = Summary::of(&xs).unwrap();
-        let mut s = StreamingSummary::default_eps();
-        for &x in &xs {
-            s.push(x);
-        }
-        let got = s.summary().unwrap();
-        assert_eq!(got.n, exact.n);
-        assert!((got.mean - exact.mean).abs() / exact.mean < 1e-9);
-        assert!((got.std_dev - exact.std_dev).abs() / exact.std_dev < 1e-6);
-        assert_eq!((got.min, got.max), (exact.min, exact.max));
-        // Quantiles within the ε rank bound translate to small value
-        // error on a smooth distribution.
-        for (got_q, exact_q) in [(got.p50, exact.p50), (got.p95, exact.p95), (got.p99, exact.p99)]
-        {
-            assert!(
-                (got_q - exact_q).abs() < 100.0,
-                "sketch quantile {got_q} vs exact {exact_q}"
-            );
-        }
-        assert!(StreamingSummary::default_eps().summary().is_none());
     }
 }

@@ -19,7 +19,6 @@ fn lc(load: f64) -> LoadConfig {
         measure: 120_000,
         drain: 80_000,
         seed: 99,
-        stream_stats: false,
     }
 }
 

@@ -83,7 +83,6 @@ fn saturation() {
         measure: 180_000,
         drain: 100_000,
         seed: 0xBE9C_0001,
-        stream_stats: false,
     };
     let net = analyzed(&RandomTopologyConfig::paper_default(0));
     // No multicast of the window completes; only the run-wide count
@@ -113,7 +112,6 @@ fn large() {
         measure: 120_000,
         drain: 120_000,
         seed: 0xBE9C_0002,
-        stream_stats: false,
     };
     assert_eq!(
         load_counts(&net, "tree", &lc),
