@@ -45,7 +45,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use dsm::{generate_trace, run_dsm, DsmConfig};
-pub use load::{run_load, LoadConfig, LoadResult};
+pub use load::{run_load, run_load_stats, LoadConfig, LoadResult};
 pub use periodic::{run_periodic, PeriodicConfig, PeriodicResult};
 pub use report::Series;
 pub use scenario::{Launch, Outcome, Scenario, Stop, WorkloadError};

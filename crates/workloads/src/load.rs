@@ -97,6 +97,17 @@ pub fn run_load(
     scheme: SchemeId,
     lc: &LoadConfig,
 ) -> Result<LoadResult, WorkloadError> {
+    run_load_stats(net, cfg, scheme, lc).map(|(r, _)| r)
+}
+
+/// [`run_load`], also returning the run's full statistics at its
+/// horizon (worms may still be in flight there).
+pub fn run_load_stats(
+    net: &Network,
+    cfg: &SimConfig,
+    scheme: SchemeId,
+    lc: &LoadConfig,
+) -> Result<(LoadResult, SimStats), WorkloadError> {
     let n = net.topo.num_nodes();
     check_shape(lc.degree, n, lc.message_flits)?;
     check_rate("effective load", lc.effective_load)?;
@@ -136,7 +147,7 @@ pub fn run_load(
 
     let stop = Stop::At(horizon + lc.drain);
     let out = Scenario::new(net, cfg, scheme, lc.message_flits, launches, stop).run()?;
-    Ok(window(&out.stats, lc.warmup, horizon))
+    Ok((window(&out.stats, lc.warmup, horizon), out.stats))
 }
 
 /// Summarize the multicasts launched in `[from, to)`.
