@@ -8,21 +8,23 @@
 //! auditor is the cross-check — once per network sweep it recomputes
 //! every counter from ground truth and verifies:
 //!
-//! * **arrival freshness** — no occupied calendar slot is stamped for a
-//!   cycle earlier than `now` (a clock jump must never skip over a
-//!   pending arrival);
-//! * **wire conservation** — the calendar ring holds exactly
-//!   `wire_flits` flits;
+//! * **train order** — each channel's runs are in landing order and do
+//!   not overlap;
+//! * **arrival freshness** — no train holds a flit due after the last
+//!   arrival phase and before `now` (a clock jump must never skip over
+//!   a landing);
+//! * **wire conservation** — the flits the trains still have to land
+//!   are exactly `wire_flits`;
 //! * **buffer occupancy** — each switch input's reservation counter
-//!   equals its buffered plus in-flight flits and never exceeds
-//!   `input_buffer_flits`;
+//!   equals its received-but-not-recycled flits plus the flits still in
+//!   its train, and never exceeds `input_buffer_flits`;
 //! * **frame accounting** — per-switch and global frame counts match the
 //!   buffers, and per-frame `freed ≤ received ≤ total` holds;
 //! * **injection accounting** — `tx_pending` equals the summed host
 //!   queues;
 //! * **flit conservation** — every flit ever put on a wire (injected or
 //!   switch-forwarded) is accounted for as ejected, dropped, recycled,
-//!   in flight, or buffered;
+//!   still in a train, or buffered;
 //! * **monotonic worm progress** — a resident frame's `received`,
 //!   `freed`, and summed branch `sent` never regress between sweeps.
 //!
@@ -45,9 +47,12 @@
 //! over the gap) and a **trailing-edge** audit at the jump target,
 //! *before* that cycle's sweep runs. The trailing edge is what makes a
 //! jump unable to skip over a violation window: the
-//! [`InvariantKind::StaleArrival`] check fires on any arrival the jump
-//! left behind before the sweep could quietly drain the slot, and the
+//! [`InvariantKind::StaleArrival`] check fires on any landing the jump
+//! left behind before the sweep could quietly count it in, and the
 //! cross-sweep progress checks compare against the pre-jump snapshot.
+//! Frames and NIs count their landed flits lazily, so every check reads
+//! a frame's `received` as its counted flits plus those landed on its
+//! channel by the last arrival phase.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -65,11 +70,15 @@ pub fn default_enabled() -> bool {
 /// Which engine invariant failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvariantKind {
-    /// An occupied arrival-calendar slot is stamped for a cycle earlier
-    /// than `now`: the clock advanced past a pending arrival without
+    /// A channel's train holds a flit due after the last arrival phase
+    /// and before `now`: the clock advanced past a landing without
     /// executing its cycle.
     StaleArrival,
-    /// The calendar ring's flit count disagrees with `wire_flits`.
+    /// A channel's train runs are out of landing order, overlap, or are
+    /// empty.
+    TrainOrder,
+    /// The flits the trains still have to land disagree with
+    /// `wire_flits`.
     WireConservation,
     /// A switch input's reservation counter exceeds the configured
     /// buffer capacity.
@@ -118,6 +127,7 @@ impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
             InvariantKind::StaleArrival => write!(f, "stale arrival: {}", self.detail),
+            InvariantKind::TrainOrder => write!(f, "train order: {}", self.detail),
             InvariantKind::WireConservation => write!(f, "wire conservation: {}", self.detail),
             InvariantKind::OccupancyBound { switch, port } => {
                 write!(f, "buffer occupancy bound at S{switch} p{port}: {}", self.detail)

@@ -15,10 +15,11 @@
 //! Under the event-driven engine a switch is swept only when it can act:
 //! each sweep reports whether any flit moved and the earliest future
 //! cycle a pending routing decode completes, and the engine parks the
-//! switch otherwise. A parked switch is re-armed by a flit arrival, its
-//! own decode timer, or a downstream buffer credit coming back (see the
-//! wake-graph rules in `engine.rs` / DESIGN.md §7) — the sweep outcome
-//! itself is oblivious to which cycles were skipped in between.
+//! switch otherwise. A parked switch is re-armed by a head landing, the
+//! landing of a flit it waits on, its own decode timer, or a downstream
+//! buffer credit coming back (see the wake-graph rules in `engine.rs` /
+//! DESIGN.md §7) — the sweep outcome itself is oblivious to which cycles
+//! were skipped in between.
 
 use crate::config::SimConfig;
 use crate::worm::{RouteInfo, WormCopy};
@@ -213,9 +214,12 @@ impl Branch {
 pub struct Frame {
     /// The incoming worm copy.
     pub worm: Arc<WormCopy>,
-    /// Flits received so far.
+    /// Flits received so far, as last counted in: the engine counts a
+    /// still-landing frame's flits off its channel's train when it
+    /// consults them.
     pub received: u32,
-    /// Cycle at which the last header flit arrived (set once).
+    /// Cycle at which the last header flit landed (set once, when that
+    /// flit is counted in).
     pub header_done_at: Option<u64>,
     /// Branches created by header decode (empty until decoded).
     pub branches: Vec<Branch>,

@@ -384,10 +384,11 @@ fn heap_wakes_are_never_scheduled_in_the_past() {
 
 /// A clock jump must not be able to skip over an invariant-violation
 /// window: the auditor runs on both edges of every multi-cycle jump.
-/// `backdate_next_arrival` emulates an off-by-one scheduler bug (an
-/// arrival stamped one cycle before the slot it will drain from). Every
-/// audit before the jump passes, and the sweep at the jump target would
-/// drain the evidence — only the trailing-edge audit can catch it.
+/// `backdate_next_arrival` emulates an off-by-one train (a run landing
+/// one cycle before the cycle the landing calendar holds for it, which
+/// the clock then jumps past). Every audit before the jump passes, and
+/// the sweep at the jump target would count the flit in — only the
+/// trailing-edge audit can catch it.
 #[test]
 fn jump_cannot_skip_an_invariant_violation_window() {
     let net = Network::analyze(zoo::chain(2).unwrap()).unwrap();

@@ -37,6 +37,9 @@ pub enum TopologyError {
     },
     /// The spanning-tree root is not a switch of this topology.
     BadRoot(SwitchId),
+    /// An extra-link fraction that is NaN, infinite or negative (the
+    /// value as written, since `f64` has no `Eq`).
+    BadExtraLinks(String),
     /// Faults have split the network: some surviving switches (and the
     /// hosts attached to them) can no longer reach the rest. Produced by
     /// [`crate::Network::degrade`] instead of silently building routing
@@ -75,6 +78,9 @@ impl fmt::Display for TopologyError {
                 "configuration needs {needed} switch ports but only {available} exist"
             ),
             TopologyError::BadRoot(s) => write!(f, "spanning-tree root {s} is not a switch"),
+            TopologyError::BadExtraLinks(v) => {
+                write!(f, "extra-link fraction {v} is not finite and non-negative")
+            }
             TopologyError::PartitionedNetwork { unreachable_switches, unreachable_hosts } => {
                 write!(
                     f,

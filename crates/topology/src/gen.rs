@@ -100,10 +100,16 @@ impl RandomTopologyConfig {
 ///
 /// Fails if the port budget cannot fit the spanning tree plus hosts
 /// (extra links are best-effort: they are dropped when no port-free pair
-/// remains).
+/// remains, so a huge count fills every free port), or if an extra-link
+/// fraction is NaN, infinite or negative.
 pub fn generate(cfg: &RandomTopologyConfig) -> Result<Topology, TopologyError> {
     if cfg.num_switches == 0 || cfg.num_hosts == 0 {
         return Err(TopologyError::Empty);
+    }
+    if let ExtraLinks::Fraction(f) = cfg.extra_links {
+        if !(f.is_finite() && f >= 0.0) {
+            return Err(TopologyError::BadExtraLinks(format!("{f}")));
+        }
     }
     let total_ports = cfg.num_switches * cfg.ports_per_switch as usize;
     let needed = cfg.num_hosts + 2 * (cfg.num_switches - 1);
@@ -164,7 +170,9 @@ pub fn generate(cfg: &RandomTopologyConfig) -> Result<Topology, TopologyError> {
     // 3. Extra links between random switch pairs with free ports.
     let mut extra = cfg.extra_link_count();
     let mut attempts = 0usize;
-    while extra > 0 && attempts < 64 * (extra + 1) {
+    // The bound shrinks as links are placed; a saturated count (a huge
+    // fraction) must not wrap it to 0.
+    while extra > 0 && attempts < extra.saturating_add(1).saturating_mul(64) {
         attempts += 1;
         let free: Vec<usize> = (0..cfg.num_switches)
             .filter(|&s| b.free_ports(switches[s]) > 0)
@@ -256,6 +264,28 @@ mod tests {
             generate(&cfg),
             Err(TopologyError::InsufficientPorts { .. })
         ));
+    }
+
+    #[test]
+    fn extra_link_fractions_are_validated_and_saturate() {
+        for f in [f64::NAN, f64::INFINITY, -1.0] {
+            let cfg = RandomTopologyConfig {
+                extra_links: ExtraLinks::Fraction(f),
+                ..RandomTopologyConfig::paper_default(0)
+            };
+            assert!(matches!(generate(&cfg), Err(TopologyError::BadExtraLinks(_))), "{f}");
+        }
+        // A count that saturates usize fills every free port, exactly as
+        // any count beyond the free ports does.
+        let links = |f| {
+            let cfg = RandomTopologyConfig {
+                extra_links: ExtraLinks::Fraction(f),
+                ..RandomTopologyConfig::paper_default(0)
+            };
+            generate(&cfg).unwrap().links().map(|(_, l)| *l).collect::<Vec<_>>()
+        };
+        assert_eq!(links(1e30), links(1e3));
+        assert!(links(1e3).len() > links(0.75).len());
     }
 
     #[test]

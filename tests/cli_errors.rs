@@ -75,3 +75,24 @@ fn schemes_resolve_through_the_registry() {
     let names: Vec<&str> = text.lines().collect();
     assert_eq!(names, irrnet::mcast::SchemeRegistry::names());
 }
+
+#[test]
+fn overhead_ratios_must_be_finite_and_positive() {
+    for cmd in ["single", "load"] {
+        for r in ["0", "-2", "nan"] {
+            assert_clean_failure(&[cmd, "--scheme", "tree", "--r", r], "--r must be finite");
+        }
+    }
+}
+
+#[test]
+fn extra_link_fractions_must_be_finite_and_non_negative() {
+    for f in ["nan", "inf", "-1"] {
+        assert_clean_failure(&["topo", "--extra-links", f], "extra-link fraction");
+    }
+    // A fraction too large to count saturates: every free port is linked,
+    // the same topology a merely large fraction gives.
+    let (code, huge) = run_irrnet(&["topo", "--extra-links", "1e30"]);
+    assert_eq!(code, Some(0), "{huge}");
+    assert_eq!(huge, run_irrnet(&["topo", "--extra-links", "1e3"]).1);
+}
