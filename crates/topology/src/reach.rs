@@ -459,12 +459,6 @@ impl Reachability {
         self.cover[s.idx()].to_mask()
     }
 
-    /// The stored encoding of the switch's total string.
-    #[inline]
-    pub fn cover_set(&self, s: SwitchId) -> &ReachSet {
-        &self.cover[s.idx()]
-    }
-
     /// Nodes reachable from `s` via down-only traversal (= `cover(s)` —
     /// exposed separately for clarity in planners).
     #[inline]
