@@ -474,7 +474,7 @@ mod tests {
     fn single_packet_prefers_high_fanout_at_high_r() {
         // With a cheap NI (R = 4), replication at the NI is nearly free,
         // so a bushier tree (shallower) wins for one packet.
-        let cfg = SimConfig::paper_default().with_r(4.0);
+        let cfg = SimConfig::paper_default().with_r(4.0).unwrap();
         let ds: Vec<NodeId> = (1..=15).map(NodeId).collect();
         let k = choose_k(&ds, &cfg, 128, 3);
         assert!(k >= 2, "expected bushy tree, got k={k}");

@@ -60,7 +60,7 @@ fn hybrid_beats_plain_path_scheme() {
     // on average, at every R.
     let dests = NodeMask::from_nodes((4..=20).map(NodeId));
     for r in [1.0, 4.0] {
-        let cfg = SimConfig::paper_default().with_r(r);
+        let cfg = SimConfig::paper_default().with_r(r).unwrap();
         let mut hybrid = 0u64;
         let mut plain = 0u64;
         for seed in 0..5 {

@@ -65,7 +65,7 @@ fn choose_k_table() -> Vec<String> {
     let mut rows = Vec::new();
     for mf in MESSAGE_FLITS {
         for r in R_RATIOS {
-            let cfg = SimConfig::paper_default().with_r(r);
+            let cfg = SimConfig::paper_default().with_r(r).unwrap();
             for hops in HOPS {
                 rows.push(
                     (1..=64)
@@ -92,7 +92,7 @@ fn fpfs_estimates_match_the_recorded_digest() {
     let mut text = String::new();
     for mf in MESSAGE_FLITS {
         for r in R_RATIOS {
-            let cfg = SimConfig::paper_default().with_r(r);
+            let cfg = SimConfig::paper_default().with_r(r).unwrap();
             for hops in HOPS {
                 for d in 1..=64 {
                     for k in 1..=d.min(8) {
@@ -210,7 +210,7 @@ fn digest(nets: &[Network], scheme: &str, degrees: &[usize], per_net: usize, see
             let degree = degrees[i % degrees.len()].min(n - 1);
             let dests = random_dests(&mut rng, n, degree, source);
             let mf = MESSAGE_FLITS[i % MESSAGE_FLITS.len()];
-            let cfg = SimConfig::paper_default().with_r(R_RATIOS[i % R_RATIOS.len()]);
+            let cfg = SimConfig::paper_default().with_r(R_RATIOS[i % R_RATIOS.len()]).unwrap();
             let plan = try_plan_multicast(net, &cfg, id, source, dests, mf)
                 .unwrap_or_else(|e| panic!("{scheme}: {e}"));
             text += &plan_text(&plan);

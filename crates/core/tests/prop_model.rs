@@ -43,7 +43,7 @@ fn unicast_model_matches_simulation_exactly() {
         let mut cfg = SimConfig::paper_default();
         cfg.o_send_host = oh;
         cfg.o_recv_host = oh;
-        let cfg = cfg.with_r(r);
+        let cfg = cfg.with_r(r).unwrap();
         let (src, dst) = (NodeId(src), NodeId(dst));
 
         let predicted = LatencyModel::new(net, &cfg).unicast(src, dst, msg);

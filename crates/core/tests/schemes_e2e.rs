@@ -123,7 +123,7 @@ fn high_r_favors_ni_scheme_over_path_scheme() {
     // §4.2.1: as R = O_h/O_ni grows, the NI-based scheme overtakes the
     // path-based scheme (averaged over topologies).
     let avg = |r: f64, scheme: SchemeId| -> f64 {
-        let cfg = SimConfig::paper_default().with_r(r);
+        let cfg = SimConfig::paper_default().with_r(r).unwrap();
         let mut sum = 0u64;
         let mut n = 0u64;
         for seed in 0..6 {

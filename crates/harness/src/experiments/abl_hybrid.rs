@@ -31,7 +31,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
         }
         csv.push('\n');
         for r in [1.0f64, 4.0] {
-            let cfg = SimConfig::paper_default().with_r(r);
+            let cfg = SimConfig::paper_default().with_r(r).expect("grid R is valid");
             for msg in [128u32, 1024] {
                 let _ = writeln!(table, "-- R = {r}, {msg}-flit messages, 16-way --");
                 let mut row = format!("{r},{msg}");

@@ -19,7 +19,7 @@ pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
         let mut sim = SimConfig::paper_default();
         sim.o_send_host = oh;
         sim.o_recv_host = oh;
-        let sim = sim.with_r(1.0);
+        let sim = sim.with_r(1.0).expect("R = 1 is valid");
         out.extend(single_panel_units(&PanelSpec {
             csv: format!("ext_a1_oh{oh}.csv"),
             title: format!("O_h = {oh} cycles"),

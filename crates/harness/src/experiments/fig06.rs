@@ -27,7 +27,7 @@ pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
                 csv: format!("fig06_r{r}.csv"),
                 title,
                 topo: RandomTopologyConfig::paper_default(0),
-                sim: SimConfig::paper_default().with_r(r),
+                sim: SimConfig::paper_default().with_r(r).expect("grid R is valid"),
                 message_flits: 128,
                 schemes: schemes.clone(),
             })

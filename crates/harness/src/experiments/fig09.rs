@@ -22,7 +22,7 @@ pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
                     csv: format!("fig09_r{r}_d{degree}.csv"),
                     title: format!("R = {r}, {degree}-way multicasts"),
                     topo: RandomTopologyConfig::paper_default(0),
-                    sim: SimConfig::paper_default().with_r(r),
+                    sim: SimConfig::paper_default().with_r(r).expect("grid R is valid"),
                     message_flits: 128,
                     schemes: schemes.clone(),
                 },

@@ -102,12 +102,15 @@ impl SimConfig {
 
     /// Set the ratio `R = O_h / O_ni` by scaling the NI overheads from the
     /// current host overheads (the paper sweeps R ∈ {0.5, 1, 2, 4} by
-    /// varying `O_ni` while holding `O_h` fixed).
-    pub fn with_r(mut self, r: f64) -> Self {
-        assert!(r > 0.0, "R must be positive");
+    /// varying `O_ni` while holding `O_h` fixed). An `r` that is not
+    /// finite and positive is an error.
+    pub fn with_r(mut self, r: f64) -> Result<Self, String> {
+        if !(r.is_finite() && r > 0.0) {
+            return Err(format!("R must be finite and positive, got {r}"));
+        }
         self.o_send_ni = ((self.o_send_host as f64) / r).round() as Cycle;
         self.o_recv_ni = ((self.o_recv_host as f64) / r).round() as Cycle;
-        self
+        Ok(self)
     }
 
     /// The current ratio `R = O_h / O_ni` (using the send-side values; the
@@ -358,10 +361,18 @@ mod tests {
     fn r_sweep_matches_paper_values() {
         // R ∈ {0.5, 1, 2, 4}  ⇒  O_ni ∈ {1000, 500, 250, 125}.
         for (r, oni) in [(0.5, 1000), (1.0, 500), (2.0, 250), (4.0, 125)] {
-            let c = SimConfig::paper_default().with_r(r);
+            let c = SimConfig::paper_default().with_r(r).unwrap();
             assert_eq!(c.o_send_ni, oni, "R={r}");
             assert_eq!(c.o_recv_ni, oni);
             assert_eq!(c.o_send_host, DEFAULT_O_HOST);
+        }
+    }
+
+    #[test]
+    fn r_must_be_finite_and_positive() {
+        for r in [0.0, -2.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = SimConfig::paper_default().with_r(r).unwrap_err();
+            assert!(err.contains("finite and positive"), "R={r}: {err}");
         }
     }
 
@@ -412,7 +423,7 @@ mod tests {
     fn stable_hash_tracks_every_knob_but_watchdog() {
         let a = SimConfig::paper_default();
         assert_eq!(a.stable_hash(), SimConfig::paper_default().stable_hash());
-        let b = SimConfig::paper_default().with_r(2.0);
+        let b = SimConfig::paper_default().with_r(2.0).unwrap();
         assert_ne!(a.stable_hash(), b.stable_hash());
         let mut c = SimConfig::paper_default();
         c.adaptive = false;

@@ -59,10 +59,7 @@ fn sim_config(flags: &HashMap<String, String>) -> Result<SimConfig, String> {
     cfg.o_send_host = get(flags, "oh", cfg.o_send_host)?;
     cfg.o_recv_host = cfg.o_send_host;
     let r = get(flags, "r", 1.0f64)?;
-    if !(r.is_finite() && r > 0.0) {
-        return Err(format!("--r must be finite and positive, got {r}"));
-    }
-    cfg = cfg.with_r(r);
+    cfg = cfg.with_r(r).map_err(|_| format!("--r must be finite and positive, got {r}"))?;
     cfg.packet_payload_flits = get(flags, "packet", cfg.packet_payload_flits)?;
     cfg.input_buffer_flits = cfg.packet_payload_flits + 40;
     cfg.adaptive = get(flags, "adaptive", true)?;

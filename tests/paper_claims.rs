@@ -37,7 +37,7 @@ fn avg_latency(
 fn claim_tree_based_wins_everywhere() {
     let nets = nets(4, 8);
     for r in [0.5, 1.0, 4.0] {
-        let cfg = SimConfig::paper_default().with_r(r);
+        let cfg = SimConfig::paper_default().with_r(r).unwrap();
         for degree in [4usize, 16] {
             let tree = avg_latency(&nets, &cfg, SchemeId::TREE, degree, 128);
             for other in [SchemeId::NI_FPFS, SchemeId::PATH_LG, SchemeId::UBINOMIAL] {
@@ -59,7 +59,7 @@ fn claim_r_crossover_between_ni_and_path() {
     let nets = nets(5, 8);
     let degree = 16;
     let gap = |r: f64| {
-        let cfg = SimConfig::paper_default().with_r(r);
+        let cfg = SimConfig::paper_default().with_r(r).unwrap();
         avg_latency(&nets, &cfg, SchemeId::NI_FPFS, degree, 128)
             - avg_latency(&nets, &cfg, SchemeId::PATH_LG, degree, 128)
     };
