@@ -77,9 +77,9 @@ impl Protocol for SchemeProtocol {
     ) -> Result<Vec<SendSpec>, ProtocolError> {
         let plan = self.plan_or_err(worm.mcast)?;
         // Capability gate: only schemes declaring NI forwarding carry the
-        // side tables below (the registry enforces that the tables are
-        // empty otherwise).
-        if !plan.caps.ni_forwarding {
+        // side tables below (planning checks that the tables are empty
+        // otherwise).
+        if !plan.scheme.caps().ni_forwarding {
             return Ok(Vec::new());
         }
         let mut out = Vec::new();

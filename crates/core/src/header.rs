@@ -38,7 +38,7 @@ pub fn header_costs(net: &Network, plan: &McastPlan) -> HeaderCosts {
     // FPFS-style interior forwarding: each interior node re-injects one
     // unicast copy per child. Capability-driven — the table is only
     // populated by schemes declaring `ni_forwarding`.
-    if plan.caps.ni_forwarding {
+    if plan.scheme.caps().ni_forwarding {
         for kids in plan.fpfs_children.values() {
             let h = cfg.unicast_header_flits as usize;
             total += h * kids.len();

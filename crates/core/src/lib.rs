@@ -1,8 +1,8 @@
 //! Multicast schemes for irregular switch-based networks — the core
 //! library of the ICPP '98 reproduction.
 //!
-//! Four schemes (plus a greedy path-planning ablation) are implemented on
-//! top of the `irrnet-sim` substrate:
+//! The paper's four schemes are implemented on top of the `irrnet-sim`
+//! substrate:
 //!
 //! | scheme | support needed | worms | phases |
 //! |---|---|---|---|
@@ -10,6 +10,11 @@
 //! | [`SchemeId::NI_FPFS`] | smart NI firmware | d | k-binomial depth |
 //! | [`SchemeId::TREE`] | switch replication + reachability strings | 1 | 1 |
 //! | [`SchemeId::PATH_LG`] | switch replication (multi-drop) | w | ⌈log₂(w+1)⌉ |
+//!
+//! The scheme table in [`schemes`] also holds the greedy path-covering
+//! ablation [`SchemeId::PATH_G`], the NI+switch hybrid
+//! [`SchemeId::PATH_LG_NI`] and the fan-out-capped tree worm
+//! [`SchemeId::TREE_CAP4`]; [`SchemeRegistry`] resolves scheme names.
 //!
 //! Use [`try_plan_multicast`] to build a [`McastPlan`] for a (source,
 //! destination set, message length) triple and register it with a
@@ -57,4 +62,4 @@ pub use kbinomial::{build_k_binomial, build_k_binomial_scattered, choose_k, esti
 pub use mdp::{plan_paths, verify_path_spec, PathPlan, PathVariant};
 pub use model::LatencyModel;
 pub use plan::{try_plan_multicast, McastPlan, PlanMeta};
-pub use schemes::{MulticastScheme, PlanCtx, PlanError, SchemeCaps, SchemeId, SchemeRegistry};
+pub use schemes::{PlanError, SchemeCaps, SchemeId, SchemeRegistry};

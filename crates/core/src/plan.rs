@@ -6,13 +6,13 @@
 //! software forwarding table (who sends what after *receiving* the
 //! message — the multi-phase schemes), and the smart-NI forwarding tables
 //! (who replicates what at the *NI*). Which tables a plan may populate is
-//! governed by its scheme's [`SchemeCaps`], stamped by the registry.
+//! governed by its scheme's [`SchemeCaps`](crate::SchemeCaps).
 //!
-//! The actual planning logic lives in per-family plugin modules under
-//! [`crate::schemes`]; dispatch goes through the
-//! [`SchemeRegistry`].
+//! The planning logic of each scheme family lives in a module under
+//! [`crate::schemes`]; [`try_plan_multicast`] dispatches through the
+//! scheme table there.
 
-use crate::schemes::{PlanError, SchemeCaps, SchemeId, SchemeRegistry};
+use crate::schemes::{PlanCtx, PlanError, SchemeId};
 use irrnet_sim::{SendSpec, SimConfig};
 use irrnet_topology::{Network, NodeId, NodeMask};
 use std::collections::HashMap;
@@ -34,11 +34,9 @@ pub struct PlanMeta {
 /// Everything needed to run one multicast under one scheme.
 #[derive(Debug, Clone)]
 pub struct McastPlan {
-    /// The registered scheme this plan realizes.
-    pub scheme: SchemeId,
-    /// Capability flags of the scheme (stamped by the registry): which of
+    /// The scheme this plan realizes; its [`SchemeId::caps`] say which of
     /// the side tables below the runtime should consult.
-    pub caps: SchemeCaps,
+    pub scheme: SchemeId,
     /// Multicast source.
     pub source: NodeId,
     /// Destination set (never contains the source).
@@ -62,9 +60,8 @@ pub struct McastPlan {
     pub meta: PlanMeta,
 }
 
-/// Build the plan for one multicast through the scheme registry,
-/// reporting precondition violations and planner failures as typed
-/// errors.
+/// Build the plan for one multicast under `scheme`, reporting an empty
+/// destination set or a source among the destinations as a typed error.
 pub fn try_plan_multicast(
     net: &Network,
     cfg: &SimConfig,
@@ -73,7 +70,19 @@ pub fn try_plan_multicast(
     dests: NodeMask,
     message_flits: u32,
 ) -> Result<McastPlan, PlanError> {
-    SchemeRegistry::plan(scheme, net, cfg, source, dests, message_flits)
+    if dests.is_empty() {
+        return Err(PlanError::EmptyDestinations);
+    }
+    if dests.contains(source) {
+        return Err(PlanError::SourceInDestinations);
+    }
+    let plan = scheme.plan(&PlanCtx { net, cfg, id: scheme, source, dests, message_flits });
+    debug_assert!(
+        scheme.caps().ni_forwarding
+            || (plan.fpfs_children.is_empty() && plan.ni_path_forwards.is_empty()),
+        "scheme '{scheme}' emitted NI side tables without the ni_forwarding capability"
+    );
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -101,7 +110,7 @@ mod tests {
         // 9 nodes in the tree -> depth 4 (ceil(log2 9)).
         assert_eq!(p.meta.phases, 4);
         assert!(p.fpfs_children.is_empty());
-        assert!(!p.caps.ni_forwarding && !p.caps.switch_replication);
+        assert_eq!(p.scheme.caps(), crate::SchemeCaps::default());
         // Every destination appears exactly once among all sends.
         let mut targets = Vec::new();
         for s in p.initial.iter().chain(p.on_delivered.values().flatten()) {
@@ -119,7 +128,7 @@ mod tests {
     fn fpfs_plan_covers_all_destinations_via_ni_tables() {
         let p = plan8(SchemeId::NI_FPFS);
         assert!(p.meta.k >= 1);
-        assert!(p.caps.ni_forwarding);
+        assert!(p.scheme.caps().ni_forwarding);
         let mut covered = NodeMask::EMPTY;
         let SendSpec::FpfsChildren { children } = &p.initial[0] else {
             panic!("fpfs initial send")
@@ -144,7 +153,7 @@ mod tests {
         assert_eq!(p.initial.len(), 1);
         assert!(p.on_delivered.is_empty());
         assert!(p.fpfs_children.is_empty());
-        assert!(p.caps.switch_replication);
+        assert!(p.scheme.caps().switch_replication);
     }
 
     #[test]
@@ -168,5 +177,8 @@ mod tests {
         let cfg = SimConfig::paper_default();
         let err = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), NodeMask::EMPTY, 128);
         assert_eq!(err.unwrap_err(), PlanError::EmptyDestinations);
+        let dests = NodeMask::single(NodeId(0));
+        let err = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128);
+        assert_eq!(err.unwrap_err(), PlanError::SourceInDestinations);
     }
 }

@@ -3,7 +3,7 @@
 //! binomial tree over the rank-sorted destinations; they differ only in
 //! *where* forwarding happens (host vs. smart NI) and how `k` is chosen.
 
-use super::{MulticastScheme, PlanCtx, PlanError, SchemeCaps};
+use super::PlanCtx;
 use crate::kbinomial::{build_k_binomial, choose_k, McastTree};
 use crate::order::sort_by_rank;
 use crate::plan::{McastPlan, PlanMeta};
@@ -13,42 +13,18 @@ use std::collections::HashMap;
 
 /// Multi-phase software multicast over unicast: binomial tree,
 /// ⌈log₂(d+1)⌉ phases, full host+NI overhead per hop (§3.1).
-pub struct UBinomialScheme;
-
-impl MulticastScheme for UBinomialScheme {
-    fn name(&self) -> &str {
-        "ubinomial"
-    }
-
-    fn caps(&self) -> SchemeCaps {
-        SchemeCaps { ni_forwarding: false, switch_replication: false }
-    }
-
-    fn plan(&self, ctx: &PlanCtx<'_>) -> Result<McastPlan, PlanError> {
-        let ordered = rank_ordered(ctx);
-        let k = ordered.len().max(1);
-        Ok(plan_software_tree(ctx, &ordered, k, false))
-    }
+pub(super) fn plan_ubinomial(ctx: &PlanCtx<'_>) -> McastPlan {
+    let ordered = rank_ordered(ctx);
+    let k = ordered.len().max(1);
+    plan_software_tree(ctx, &ordered, k, false)
 }
 
 /// NI-based multicast: optimal k-binomial tree with FPFS smart-NI
 /// forwarding (§3.2.1).
-pub struct NiFpfsScheme;
-
-impl MulticastScheme for NiFpfsScheme {
-    fn name(&self) -> &str {
-        "ni-fpfs"
-    }
-
-    fn caps(&self) -> SchemeCaps {
-        SchemeCaps { ni_forwarding: true, switch_replication: false }
-    }
-
-    fn plan(&self, ctx: &PlanCtx<'_>) -> Result<McastPlan, PlanError> {
-        let ordered = rank_ordered(ctx);
-        let k = choose_k(&ordered, ctx.cfg, ctx.message_flits, avg_hops_estimate(ctx.net));
-        Ok(plan_software_tree(ctx, &ordered, k, true))
-    }
+pub(super) fn plan_ni_fpfs(ctx: &PlanCtx<'_>) -> McastPlan {
+    let ordered = rank_ordered(ctx);
+    let k = choose_k(&ordered, ctx.cfg, ctx.message_flits, avg_hops_estimate(ctx.net));
+    plan_software_tree(ctx, &ordered, k, true)
 }
 
 /// The destinations in canonical chain order.
@@ -76,7 +52,6 @@ fn plan_software_tree(ctx: &PlanCtx<'_>, ordered: &[NodeId], k: usize, fpfs: boo
         // interior node forwards at the NI.
         McastPlan {
             scheme: ctx.id,
-            caps: SchemeCaps { ni_forwarding: true, switch_replication: false },
             source: ctx.source,
             dests: ctx.dests.clone(),
             message_flits: ctx.message_flits,
@@ -92,7 +67,6 @@ fn plan_software_tree(ctx: &PlanCtx<'_>, ordered: &[NodeId], k: usize, fpfs: boo
             |kids: Vec<NodeId>| kids.into_iter().map(|dest| SendSpec::Unicast { dest }).collect();
         McastPlan {
             scheme: ctx.id,
-            caps: SchemeCaps::default(),
             source: ctx.source,
             dests: ctx.dests.clone(),
             message_flits: ctx.message_flits,

@@ -15,7 +15,7 @@
 //! irrnet-run reshard DIR --shards M [--stale-after SECS]
 //!                                     # re-plan remaining units under M shards
 //! irrnet-run --list                   # show the registry
-//! irrnet-run schemes                  # show the scheme registry
+//! irrnet-run schemes                  # show the scheme table
 //! irrnet-run compare [--out DIR] [--golden DIR] [--tol F]
 //! ```
 //!
@@ -35,7 +35,6 @@ use irrnet_harness::registry::{registry, resolve};
 use irrnet_harness::runner::{
     install_sigint_handler, resume_campaign, run_campaign, CampaignReport,
 };
-use irrnet_harness::schemes::ensure_demo_schemes;
 use irrnet_harness::lease::DEFAULT_STALE_AFTER;
 use irrnet_harness::shard::{
     merge_campaign, reshard_campaign, run_shard, ShardSpec, WorkerOptions,
@@ -184,8 +183,6 @@ impl CampaignCli {
         opts.threads = self.threads;
         opts.argv = argv;
         if let Some(list) = &self.scheme_list {
-            // Harness-local plugins are selectable by name, same as built-ins.
-            ensure_demo_schemes();
             let mut ids = Vec::new();
             for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
                 match irrnet_core::SchemeRegistry::resolve(name) {
@@ -382,7 +379,6 @@ fn main_status(argv: Vec<String>) -> ExitCode {
     };
     // Status may race live workers; journal parsing tolerates the torn
     // tail a mid-write worker leaves.
-    ensure_demo_schemes();
     match campaign_status(&dir, stale_after) {
         Ok(progress) => {
             print!("{}", render_status(&dir, &progress));
@@ -432,8 +428,6 @@ fn main_reshard(full_argv: Vec<String>, rest: Vec<String>) -> ExitCode {
         Ok(d) => d,
         Err(code) => return code,
     };
-    // Journal parsing resolves scheme names during the rewrite audit.
-    ensure_demo_schemes();
     match reshard_campaign(&dir, shards, stale_after, &full_argv) {
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
@@ -512,7 +506,6 @@ fn main_schemes(argv: Vec<String>) -> ExitCode {
         eprintln!("error: unknown schemes argument '{a}'");
         usage();
     }
-    ensure_demo_schemes();
     println!("{:<4} {:<12} {:<14} switch-replication", "id", "name", "ni-forwarding");
     for id in irrnet_core::SchemeRegistry::all() {
         let caps = id.caps();

@@ -4,6 +4,7 @@
 
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 use irrnet_workloads::{mean_single_latency, run_load, LoadConfig};
@@ -30,9 +31,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             "scheme", "adaptive", "determ.", "delta%"
         );
         let mut csv = String::from("scheme,adaptive,deterministic\n");
-        let schemes = ctx
-            .opts
-            .select_schemes(&crate::schemes::named(&["ni-fpfs", "tree", "path-lg"]));
+        let schemes = ctx.opts.select_schemes(&SchemeId::PAPER_THREE);
         for &scheme in &schemes {
             let mut lat = [0.0f64; 2];
             for (i, adaptive) in [true, false].into_iter().enumerate() {
@@ -65,9 +64,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             "-- 8-way multicasts at effective load 0.1 (mean latency; sat = saturated) --\n",
         );
         let _ = writeln!(table, "{:>12} {:>12} {:>12}", "scheme", "adaptive", "determ.");
-        let schemes = ctx
-            .opts
-            .select_schemes(&crate::schemes::named(&["ni-fpfs", "tree", "path-lg"]));
+        let schemes = ctx.opts.select_schemes(&SchemeId::PAPER_THREE);
         for &scheme in &schemes {
             let _ = write!(table, "{:>12}", scheme.name());
             for adaptive in [true, false] {

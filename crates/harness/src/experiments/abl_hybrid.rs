@@ -6,6 +6,7 @@
 
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 use irrnet_workloads::mean_single_latency;
@@ -18,12 +19,12 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             .iter()
             .map(|&s| ctx.cache.network(&RandomTopologyConfig::paper_default(s)))
             .collect::<Result<_, _>>()?;
-        let schemes = ctx.opts.select_schemes(&crate::schemes::named(&[
-            "ni-fpfs",
-            "path-lg",
-            "path-lg+ni",
-            "tree",
-        ]));
+        let schemes = ctx.opts.select_schemes(&[
+            SchemeId::NI_FPFS,
+            SchemeId::PATH_LG,
+            SchemeId::PATH_LG_NI,
+            SchemeId::TREE,
+        ]);
         let mut table = String::new();
         let mut csv = String::from("r,msg");
         for &s in &schemes {

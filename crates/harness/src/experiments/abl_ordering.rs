@@ -37,7 +37,6 @@ fn run_fpfs_tree(
     }
     let plan = McastPlan {
         scheme: SchemeId::NI_FPFS,
-        caps: SchemeId::NI_FPFS.caps(),
         source: tree.source,
         dests: dests.clone(),
         message_flits: msg,

@@ -6,12 +6,12 @@
 use crate::opts::CampaignOptions;
 use crate::panel::{single_panel_units, PanelSpec};
 use crate::registry::Unit;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{ExtraLinks, RandomTopologyConfig};
 
 pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
-    let schemes =
-        opts.select_schemes(&crate::schemes::named(&["ni-fpfs", "tree", "path-lg"]));
+    let schemes = opts.select_schemes(&SchemeId::PAPER_THREE);
     let mut out = Vec::new();
 
     // A1: host startup overhead O_h (keeping R = 1).

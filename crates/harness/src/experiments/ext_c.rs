@@ -7,12 +7,17 @@
 use crate::opts::CampaignOptions;
 use crate::panel::{single_panel_units, PanelSpec};
 use crate::registry::Unit;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{ExtraLinks, RandomTopologyConfig};
 
 pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
-    let schemes = opts
-        .select_schemes(&crate::schemes::named(&["ni-fpfs", "tree", "path-lg", "path-lg+ni"]));
+    let schemes = opts.select_schemes(&[
+        SchemeId::NI_FPFS,
+        SchemeId::TREE,
+        SchemeId::PATH_LG,
+        SchemeId::PATH_LG_NI,
+    ]);
     // (switches, ports): same node count, growing switch size.
     [(16usize, 6u8), (8, 8), (4, 12), (2, 20)]
         .into_iter()

@@ -6,6 +6,7 @@
 
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 use irrnet_workloads::{run_dsm, DsmConfig};
@@ -24,9 +25,12 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
             "writes/cyc", "scheme", "mean", "p95", "p99", "sat"
         );
         let mut csv = String::from("write_rate,scheme,mean,p95,p99,saturated\n");
-        let schemes = ctx
-            .opts
-            .select_schemes(&crate::schemes::named(&["ubinomial", "ni-fpfs", "tree", "path-lg"]));
+        let schemes = ctx.opts.select_schemes(&[
+            SchemeId::UBINOMIAL,
+            SchemeId::NI_FPFS,
+            SchemeId::TREE,
+            SchemeId::PATH_LG,
+        ]);
         for &rate in rates {
             for &scheme in &schemes {
                 let mut cfg = DsmConfig { write_rate: rate, ..DsmConfig::default() };

@@ -7,6 +7,7 @@
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_collectives::{run_collective, CollectiveOp};
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{ExtraLinks, NodeId, NodeMask, RandomTopologyConfig};
 use std::fmt::Write as _;
@@ -14,9 +15,12 @@ use std::fmt::Write as _;
 pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
     let barrier = Unit::new("ext_e:barrier", |ctx: &RunCtx| {
         let cfg = SimConfig::paper_default();
-        let schemes = ctx
-            .opts
-            .select_schemes(&crate::schemes::named(&["ubinomial", "ni-fpfs", "tree", "path-lg"]));
+        let schemes = ctx.opts.select_schemes(&[
+            SchemeId::UBINOMIAL,
+            SchemeId::NI_FPFS,
+            SchemeId::TREE,
+            SchemeId::PATH_LG,
+        ]);
         let mut table = String::from(
             "-- barrier latency (cycles) vs system size (combining fan-out 4) --\n",
         );
@@ -73,7 +77,6 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
         );
         let _ = writeln!(table, "{:>8} {:>12}", "fanout", "latency");
         let mut csv = String::from("fanout,latency\n");
-        let tree = crate::schemes::named(&["tree"])[0];
         for fanout in [1usize, 2, 4, 8, 31] {
             let r = run_collective(
                 &net,
@@ -81,7 +84,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
                 CollectiveOp::AllReduce,
                 NodeId(0),
                 NodeMask::all(32),
-                tree,
+                SchemeId::TREE,
                 fanout,
                 128,
             )?;

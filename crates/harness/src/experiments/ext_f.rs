@@ -11,6 +11,7 @@
 
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 use irrnet_workloads::{run_periodic, PeriodicConfig};
@@ -35,12 +36,9 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
              flits_dropped,worms_killed,retransmissions,duplicate_deliveries,\
              watchdog_recoveries\n",
         );
-        let schemes = crate::schemes::named(&[
-            "ubinomial", "ni-fpfs", "tree", "path-g", "path-lg", "path-lg+ni",
-        ]);
         for &k in kills {
             let pc = PeriodicConfig::faulted(k);
-            for &scheme in &schemes {
+            for scheme in SchemeId::BUILTIN {
                 let r = run_periodic(&net, &sim, scheme, &pc)?;
                 let lat = r
                     .mean_latency

@@ -12,6 +12,7 @@
 
 use crate::opts::CampaignOptions;
 use crate::registry::{Emit, RunCtx, Unit};
+use irrnet_core::SchemeId;
 use irrnet_core::rng::fnv1a;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
@@ -36,9 +37,6 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
         // deterministic run, not a seed-batch average. Rates are per-flit
         // probabilities in parts per billion (0.02%, 0.2%, 2%).
         let rates: &[u32] = &[0, 200_000, 2_000_000, 20_000_000];
-        let schemes = crate::schemes::named(&[
-            "ubinomial", "ni-fpfs", "tree", "path-g", "path-lg", "path-lg+ni",
-        ]);
         let mut table = String::new();
         let _ = writeln!(
             table,
@@ -57,7 +55,7 @@ pub fn units(_opts: &CampaignOptions) -> Vec<Unit> {
         for &rate in rates {
             for &(mech, link_retry, retx) in MECHANISMS {
                 let pc = PeriodicConfig::transient(rate, link_retry, retx);
-                for &scheme in &schemes {
+                for scheme in SchemeId::BUILTIN {
                     let r = run_periodic(&net, &sim, scheme, &pc)?;
                     if rate == 0 && mech == "none" {
                         if let Some(l) = r.mean_latency {

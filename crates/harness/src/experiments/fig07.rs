@@ -9,12 +9,17 @@
 use crate::opts::CampaignOptions;
 use crate::panel::{single_panel_units, PanelSpec};
 use crate::registry::Unit;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 
 pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
-    let schemes =
-        opts.select_schemes(&crate::schemes::named(&["ubinomial", "ni-fpfs", "tree", "path-lg"]));
+    let schemes = opts.select_schemes(&[
+        SchemeId::UBINOMIAL,
+        SchemeId::NI_FPFS,
+        SchemeId::TREE,
+        SchemeId::PATH_LG,
+    ]);
     [8usize, 16, 32]
         .into_iter()
         .flat_map(|switches| {

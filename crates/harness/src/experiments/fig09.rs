@@ -9,11 +9,12 @@
 use crate::opts::CampaignOptions;
 use crate::panel::{load_panel_units, PanelSpec};
 use crate::registry::Unit;
+use irrnet_core::SchemeId;
 use irrnet_sim::SimConfig;
 use irrnet_topology::RandomTopologyConfig;
 
 pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
-    let schemes = opts.select_schemes(&crate::schemes::named(&["ni-fpfs", "tree", "path-lg"]));
+    let schemes = opts.select_schemes(&SchemeId::PAPER_THREE);
     let mut out = Vec::new();
     for r in [0.5, 1.0, 4.0] {
         for degree in [8usize, 16] {

@@ -52,6 +52,5 @@ pub mod opts;
 pub mod panel;
 pub mod registry;
 pub mod runner;
-pub mod schemes;
 pub mod shard;
 pub mod status;

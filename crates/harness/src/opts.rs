@@ -25,11 +25,11 @@ pub struct CampaignOptions {
     /// Worker threads for the cross-experiment unit pool (`None` = one
     /// per core).
     pub threads: Option<usize>,
-    /// Scheme filter (`--schemes a,b,c`): restrict scheme-panel and
-    /// per-scheme-row experiments to this subset. `None` = run every
-    /// scheme an experiment declares — the byte-identical default.
-    /// Experiments with a fixed structural layout (paired ablations like
-    /// `abl_mdp`/`abl_ordering`) ignore the filter.
+    /// Scheme filter (`--schemes a,b,c`): restrict every experiment that
+    /// declares a scheme panel to this subset. `None` = run every scheme
+    /// an experiment declares — the byte-identical default. `tab01`,
+    /// `ext_b`, `ext_f`, `ext_h`, `ext_i`, `abl_mdp` and `abl_ordering`
+    /// have a fixed scheme layout and ignore the filter.
     pub schemes: Option<Vec<SchemeId>>,
     /// The CLI invocation that started the campaign (diagnostics only:
     /// recorded in the journal header and quoted in fingerprint-mismatch

@@ -52,8 +52,7 @@ pub enum Emit {
         y_label: String,
         /// x values (identical for every column of a panel).
         xs: Vec<f64>,
-        /// Scheme this column belongs to (any registered id, including
-        /// harness-local plugins).
+        /// Scheme this column belongs to.
         scheme: SchemeId,
         /// Column position within the panel (schemes array index).
         order: usize,
@@ -175,7 +174,7 @@ pub fn registry() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "ext_g",
-            title: "Extension G — custom scheme plugin (fanout-capped tree)",
+            title: "Extension G — fan-out-capped tree worm (tree-cap4)",
             units: ex::ext_g::units,
         },
         ExperimentSpec {

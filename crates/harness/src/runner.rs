@@ -298,8 +298,6 @@ pub fn resume_campaign(
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let path = dir.join(JOURNAL_FILE);
     let text = std::fs::read_to_string(&path)?;
-    // Plugins must exist before journal parsing resolves scheme names.
-    crate::schemes::ensure_demo_schemes();
     let parsed = parse_journal(&text).map_err(|e| io::Error::from(e.locate(&path)))?;
     crate::journal::report_torn_tail(&path, &parsed);
     let h = &parsed.header;

@@ -1,25 +1,23 @@
-//! Property test over the scheme registry: every registered scheme —
-//! the six built-ins *and* the harness-local `tree-cap4` demo plugin —
-//! must plan and fully deliver random multicasts on random irregular
-//! topologies, and every plan must respect the registry's invariants
-//! (stamped id and caps, sane worm/phase metadata, NI side tables fenced
-//! behind the `ni_forwarding` capability).
+//! Property test over the scheme table: every scheme — the six built-ins
+//! *and* the fan-out-capped `tree-cap4` — must plan and fully deliver
+//! random multicasts on random irregular topologies, and every plan must
+//! respect the table's invariants (stamped id, sane worm/phase metadata,
+//! NI side tables fenced behind the `ni_forwarding` capability).
 
 use irrnet_core::rng::SmallRng;
 use irrnet_core::{try_plan_multicast, SchemeId, SchemeRegistry};
-use irrnet_harness::schemes::ensure_demo_schemes;
 use irrnet_sim::SimConfig;
 use irrnet_topology::{gen, Network, NodeId, NodeMask, RandomTopologyConfig};
 use irrnet_workloads::{random_mcast, run_single};
 
 #[test]
 fn every_registered_scheme_delivers_on_random_topologies() {
-    ensure_demo_schemes();
     let cfg = SimConfig::paper_default();
     let schemes = SchemeRegistry::all();
-    assert!(
-        schemes.len() > SchemeId::BUILTIN.len(),
-        "the demo plugin must be registered alongside the built-ins"
+    assert_eq!(
+        schemes.len(),
+        SchemeId::BUILTIN.len() + 1,
+        "the table holds the built-ins and tree-cap4"
     );
     for seed in 0..3u64 {
         let net = Network::analyze(
@@ -33,12 +31,11 @@ fn every_registered_scheme_delivers_on_random_topologies() {
                 let plan = try_plan_multicast(&net, &cfg, id, source, dests.clone(), 128)
                     .unwrap_or_else(|e| panic!("{} failed to plan: {e}", id.name()));
                 assert_eq!(plan.scheme, id, "{}: plan not stamped with its id", id.name());
-                assert_eq!(plan.caps, id.caps(), "{}: caps not stamped", id.name());
                 assert_eq!(plan.dests, dests, "{}: destination set mangled", id.name());
                 assert!(plan.meta.worms >= 1, "{}: zero worms", id.name());
                 assert!(plan.meta.phases >= 1, "{}: zero phases", id.name());
                 assert!(!plan.initial.is_empty(), "{}: nothing to launch", id.name());
-                if !plan.caps.ni_forwarding {
+                if !id.caps().ni_forwarding {
                     assert!(
                         plan.fpfs_children.is_empty() && plan.ni_path_forwards.is_empty(),
                         "{}: NI side tables without the ni_forwarding capability",
@@ -58,13 +55,13 @@ fn every_registered_scheme_delivers_on_random_topologies() {
 
 #[test]
 fn demo_scheme_caps_the_source_fanout() {
-    ensure_demo_schemes();
     let cfg = SimConfig::paper_default();
     let net = Network::analyze(
         gen::generate(&RandomTopologyConfig::paper_default(0)).unwrap(),
     )
     .unwrap();
     let capped = SchemeRegistry::resolve("tree-cap4").unwrap();
+    assert_eq!(capped, SchemeId::TREE_CAP4);
     let tree = SchemeId::TREE;
     for degree in [2usize, 5, 16, 31] {
         let dests = NodeMask::from_nodes((1..=degree as u16).map(NodeId));
@@ -79,7 +76,6 @@ fn demo_scheme_caps_the_source_fanout() {
 
 #[test]
 fn registry_names_are_unique_and_ids_dense() {
-    ensure_demo_schemes();
     let names = SchemeRegistry::names();
     let set: std::collections::HashSet<&&str> = names.iter().collect();
     assert_eq!(set.len(), names.len(), "duplicate scheme names: {names:?}");

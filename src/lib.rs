@@ -44,8 +44,8 @@ pub use irrnet_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use irrnet_core::{
-        try_plan_multicast, McastPlan, MulticastScheme, PathVariant, PlanCtx, PlanError, PlanMeta,
-        SchemeCaps, SchemeId, SchemeProtocol, SchemeRegistry,
+        try_plan_multicast, McastPlan, PathVariant, PlanError, PlanMeta, SchemeCaps, SchemeId,
+        SchemeProtocol, SchemeRegistry,
     };
     pub use irrnet_sim::{
         Cycle, DeadlockDiagnostics, McastId, PathStop, PathWormSpec, RetxPolicy, SendSpec,
