@@ -1,26 +1,42 @@
 //! `irrnet` — command-line front end for the reproduction.
 //!
 //! ```text
-//! irrnet single --scheme tree --degree 16 [--msg 128] [--r 1.0]
-//!               [--switches 8] [--nodes 32] [--seeds 5] [--trials 3]
-//! irrnet load   --scheme path-lg --degree 8 --load 0.1 [--msg 128] [--r 1.0]
-//! irrnet topo   [--seed 0] [--switches 8] [--dot]
+//! irrnet single  --scheme tree --degree 16 [--msg 128] [--seeds 5] [--trials 3]
+//! irrnet load    --scheme path-lg --degree 8 --load 0.1 [--msg 128] [--seed 0]
+//! irrnet topo    [--seed 0] [--dot]
+//! irrnet metrics [--seed 0]
 //! irrnet schemes
 //! ```
+//!
+//! `single` and `load` also read the cost-model flags `[--r 1.0]
+//! [--oh 500] [--packet 128] [--adaptive true]`, and every command but
+//! `schemes` reads the topology flags `[--switches 8] [--ports 8]
+//! [--nodes 32] [--extra-links 0.75]`. A flag the command does not read
+//! is an error.
 
 use irrnet::prelude::*;
 use irrnet::topology::{dot, ExtraLinks};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// `--name value` pairs; a flag without a value reads as `true`.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The topology flags, read by `topo_config`.
+const TOPO_FLAGS: &[&str] = &["switches", "ports", "nodes", "extra-links"];
+/// The cost-model flags, read by `sim_config`.
+const SIM_FLAGS: &[&str] = &["oh", "r", "packet", "adaptive"];
+
+/// `--name value` pairs; a flag without a value reads as `true`. A flag
+/// whose name is not in `known` is an error.
+fn parse_flags(args: &[String], known: &[&[&str]]) -> Result<HashMap<String, String>, String> {
     let mut m = HashMap::new();
+    let mut unknown = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let name = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected argument '{}'", args[i]))?;
+        if !known.iter().any(|names| names.contains(&name)) {
+            unknown.push(format!("--{name}"));
+        }
         if i + 1 < args.len() && !args[i + 1].starts_with("--") {
             m.insert(name.to_string(), args[i + 1].clone());
             i += 2;
@@ -28,6 +44,13 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             m.insert(name.to_string(), "true".to_string());
             i += 1;
         }
+    }
+    if !unknown.is_empty() {
+        let reads: Vec<String> =
+            known.iter().copied().flatten().map(|n| format!("--{n}")).collect();
+        let reads = if reads.is_empty() { "no flags".to_string() } else { reads.join(", ") };
+        let noun = if unknown.len() == 1 { "flag" } else { "flags" };
+        return Err(format!("unknown {noun} {}; this command reads {reads}", unknown.join(", ")));
     }
     Ok(m)
 }
@@ -59,7 +82,7 @@ fn sim_config(flags: &HashMap<String, String>) -> Result<SimConfig, String> {
     cfg.o_send_host = get(flags, "oh", cfg.o_send_host)?;
     cfg.o_recv_host = cfg.o_send_host;
     let r = get(flags, "r", 1.0f64)?;
-    cfg = cfg.with_r(r).map_err(|_| format!("--r must be finite and positive, got {r}"))?;
+    cfg = cfg.with_r(r).map_err(|e| format!("--r {e}"))?;
     cfg.packet_payload_flits = get(flags, "packet", cfg.packet_payload_flits)?;
     cfg.input_buffer_flits = cfg.packet_payload_flits + 40;
     cfg.adaptive = get(flags, "adaptive", true)?;
@@ -79,7 +102,9 @@ fn scheme_flag(flags: &HashMap<String, String>) -> Result<SchemeId, String> {
         .ok_or_else(|| format!("unknown scheme '{name}'; see `irrnet schemes`"))
 }
 
-fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_single(args: &[String]) -> Result<(), String> {
+    let own = ["scheme", "degree", "msg", "seeds", "trials"];
+    let flags = parse_flags(args, &[&own, SIM_FLAGS, TOPO_FLAGS])?;
     let scheme = scheme_flag(&flags)?;
     let degree: usize = get(&flags, "degree", 8)?;
     let msg: u32 = get(&flags, "msg", 128)?;
@@ -106,7 +131,9 @@ fn cmd_single(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_load(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_load(args: &[String]) -> Result<(), String> {
+    let own = ["scheme", "degree", "load", "msg", "seed"];
+    let flags = parse_flags(args, &[&own, SIM_FLAGS, TOPO_FLAGS])?;
     let scheme = scheme_flag(&flags)?;
     let degree: usize = get(&flags, "degree", 8)?;
     let load: f64 = get(&flags, "load", 0.1)?;
@@ -128,7 +155,8 @@ fn cmd_load(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_topo(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_topo(args: &[String]) -> Result<(), String> {
+    let flags = parse_flags(args, &[&["seed", "dot"], TOPO_FLAGS])?;
     let seed = get(&flags, "seed", 0u64)?;
     let net = network(&flags, seed)?;
     if flags.contains_key("dot") {
@@ -153,8 +181,9 @@ fn cmd_topo(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_metrics(args: &[String]) -> Result<(), String> {
     use irrnet::topology::metrics::{network_metrics, updown_stretch_fraction};
+    let flags = parse_flags(args, &[&["seed"], TOPO_FLAGS])?;
     let seed = get(&flags, "seed", 0u64)?;
     let net = network(&flags, seed)?;
     let m = network_metrics(&net);
@@ -179,19 +208,19 @@ fn main() -> ExitCode {
         eprintln!("usage: irrnet <single|load|topo|metrics|schemes> [--flags]");
         return ExitCode::FAILURE;
     };
-    let done = parse_flags(&args[1..]).and_then(|flags| match cmd.as_str() {
-        "single" => cmd_single(flags),
-        "load" => cmd_load(flags),
-        "topo" => cmd_topo(flags),
-        "metrics" => cmd_metrics(flags),
-        "schemes" => {
+    let args = &args[1..];
+    let done = match cmd.as_str() {
+        "single" => cmd_single(args),
+        "load" => cmd_load(args),
+        "topo" => cmd_topo(args),
+        "metrics" => cmd_metrics(args),
+        "schemes" => parse_flags(args, &[]).map(|_| {
             for name in SchemeRegistry::names() {
                 println!("{name}");
             }
-            Ok(())
-        }
+        }),
         other => Err(format!("unknown command: {other}")),
-    });
+    };
     match done {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -74,6 +74,24 @@ fn schemes_resolve_through_the_registry() {
     assert_eq!(code, Some(0), "{text}");
     let names: Vec<&str> = text.lines().collect();
     assert_eq!(names, irrnet::mcast::SchemeRegistry::names());
+    assert!(names.contains(&"tree-cap4"), "{text}");
+    let (code, text) = run_irrnet(&[
+        "single", "--scheme", "tree-cap4", "--degree", "4", "--seeds", "1", "--trials", "1",
+    ]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.starts_with("tree-cap4: mean 4-way multicast latency"), "{text}");
+}
+
+#[test]
+fn flags_a_command_does_not_read_are_an_error() {
+    let single = ["single", "--scheme", "tree", "--degree", "4", "--seeds", "1", "--trials", "1"];
+    assert_clean_failure(&[&single[..], &["--hosts", "1"]].concat(), "unknown flag --hosts;");
+    assert_clean_failure(&[&single[..], &["--bogus"]].concat(), "unknown flag --bogus;");
+    // `load` reads `--seed` and `--load`, not `--seeds` and `--loads`.
+    let load = ["load", "--scheme", "tree", "--degree", "4", "--load", "0.1", "--seeds", "1"];
+    let loads = [&load[..], &["--loads", "0.2"]].concat();
+    assert_clean_failure(&loads, "unknown flags --seeds, --loads;");
+    assert_clean_failure(&["topo", "--switchs", "4"], "unknown flag --switchs;");
 }
 
 #[test]
@@ -82,6 +100,8 @@ fn overhead_ratios_must_be_finite_and_positive() {
         for r in ["0", "-2", "nan"] {
             assert_clean_failure(&[cmd, "--scheme", "tree", "--r", r], "--r must be finite");
         }
+        // O_h / R would overflow the clock.
+        assert_clean_failure(&[cmd, "--scheme", "tree", "--r", "1e-300"], "--r overflows the clock");
     }
 }
 
