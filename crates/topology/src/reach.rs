@@ -33,7 +33,7 @@
 use crate::error::TopologyError;
 use crate::fault::FaultStatus;
 use crate::graph::{PortUse, Topology};
-use crate::ids::{NodeId, PortIdx, SwitchId};
+use crate::ids::{LinkId, NodeId, PortIdx, SwitchId};
 use crate::mask::NodeMask;
 use crate::updown::UpDown;
 use std::borrow::Borrow;
@@ -57,33 +57,67 @@ impl ReachSet {
     /// Deterministic: equal sets always get the identical encoding, so
     /// derived `PartialEq` is set equality.
     pub fn from_mask(m: &NodeMask) -> Self {
-        if m.heap_bytes() == 0 {
+        let Some(words) = m.spilled_words() else {
             // Inline masks cost nothing; keep the historical bitset.
             return ReachSet::Dense(m.clone());
+        };
+        // Count the runs a word at a time: a run starts at a set bit
+        // whose lower neighbour is clear.
+        let mut count = 0;
+        let mut carry = 0;
+        for &w in words {
+            count += (w & !(w << 1 | carry)).count_ones() as usize;
+            carry = w >> 63;
         }
-        let mut runs: Vec<(u16, u16)> = Vec::new();
-        for n in m.iter() {
-            match runs.last_mut() {
-                Some((_, end)) if *end as u32 + 1 == n.0 as u32 => *end = n.0,
-                _ => runs.push((n.0, n.0)),
+        if count * std::mem::size_of::<(u16, u16)>() >= m.heap_bytes() {
+            return ReachSet::Dense(m.clone());
+        }
+        let mut runs: Vec<(u16, u16)> = Vec::with_capacity(count);
+        let mut at = 0;
+        while runs.len() < count {
+            // Skip to the next set bit (one exists: a run is left).
+            let mut w = words[at / 64] >> (at % 64);
+            while w == 0 {
+                at = (at / 64 + 1) * 64;
+                w = words[at / 64];
             }
+            at += w.trailing_zeros() as usize;
+            let start = at;
+            // Extend through the set bits, across word boundaries.
+            loop {
+                let ones = (words[at / 64] >> (at % 64)).trailing_ones() as usize;
+                at += ones;
+                if ones == 0 || at % 64 != 0 || at == words.len() * 64 {
+                    break;
+                }
+            }
+            runs.push((start as u16, (at - 1) as u16));
         }
-        if runs.len() * std::mem::size_of::<(u16, u16)>() < m.heap_bytes() {
-            ReachSet::Runs(runs.into())
+        ReachSet::Runs(runs.into())
+    }
+
+    /// The string of a host port: exactly `from_mask(&NodeMask::single(node))`,
+    /// without building the mask.
+    fn single(node: NodeId) -> Self {
+        if node.idx() < NodeMask::INLINE_BITS {
+            ReachSet::Dense(NodeMask::single(node))
         } else {
-            ReachSet::Dense(m.clone())
+            ReachSet::Runs(Arc::new([(node.0, node.0)]))
         }
     }
 
-    /// Materialize the full bit string.
-    pub fn to_mask(&self) -> NodeMask {
+    /// OR the members into `words`, which must be long enough to hold
+    /// them (and at least two words long).
+    fn or_into(&self, words: &mut [u64]) {
         match self {
-            ReachSet::Dense(m) => m.clone(),
+            ReachSet::Dense(m) => match m.spilled_words() {
+                Some(src) => words.iter_mut().zip(src).for_each(|(w, s)| *w |= s),
+                None => {
+                    words[0] |= m.word(0);
+                    words[1] |= m.word(1);
+                }
+            },
             ReachSet::Runs(runs) => {
-                let Some(&(_, last)) = runs.last() else {
-                    return NodeMask::EMPTY;
-                };
-                let mut words = vec![0u64; last as usize / 64 + 1];
                 for &(a, b) in runs.iter() {
                     let (w0, w1) = (a as usize / 64, b as usize / 64);
                     for (w, word) in words.iter_mut().enumerate().take(w1 + 1).skip(w0) {
@@ -97,7 +131,21 @@ impl ReachSet {
                         *word |= bits;
                     }
                 }
-                NodeMask::from_words(words)
+            }
+        }
+    }
+
+    /// Materialize the full bit string.
+    pub fn to_mask(&self) -> NodeMask {
+        match self {
+            ReachSet::Dense(m) => m.clone(),
+            ReachSet::Runs(runs) => {
+                let Some(&(_, last)) = runs.last() else {
+                    return NodeMask::EMPTY;
+                };
+                let mut words = vec![0u64; last as usize / 64 + 1];
+                self.or_into(&mut words);
+                NodeMask::from_words(&words)
             }
         }
     }
@@ -149,7 +197,7 @@ impl ReachSet {
                         words[n.idx() / 64] |= 1u64 << (n.idx() % 64);
                     }
                 }
-                NodeMask::from_words(words)
+                NodeMask::from_words(&words)
             }
         }
     }
@@ -242,59 +290,20 @@ impl Reachability {
         let switch_alive = |s: SwitchId| status.is_none_or(|st| st.switch_up(s));
         let link_alive = |l| status.is_none_or(|st| st.link_up(topo, l));
 
-        // Process switches in decreasing (level, id): a down traversal
-        // increases the level, or keeps it while increasing the id, so
-        // this guarantees children before parents.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&s| {
-            let sid = SwitchId(s as u16);
-            std::cmp::Reverse((updown.level(sid), sid.0))
-        });
-
-        let mut cover_mask = vec![NodeMask::EMPTY; n];
-        for &si in &order {
+        let mut cover = vec![ReachSet::EMPTY; n];
+        let mut buf = Vec::new();
+        for si in children_first(n, updown) {
             let s = SwitchId(si as u16);
-            if !switch_alive(s) {
-                continue; // dead switch reaches nothing, not even its hosts
+            // A dead switch reaches nothing, not even its hosts.
+            if switch_alive(s) {
+                cover[si] = encode_cover(topo, updown, s, link_alive, &cover, &mut buf);
             }
-            let mut m = topo.nodes_at(s);
-            for (l, peer, _) in updown.down_links(topo, s) {
-                if link_alive(l) {
-                    m = m.union(&cover_mask[peer.idx()]);
-                }
-            }
-            cover_mask[si] = m;
         }
-        let cover: Vec<ReachSet> = cover_mask.iter().map(ReachSet::from_mask).collect();
 
         let mut port_reach = vec![ReachSet::EMPTY; n * pmax];
-        for (s, sw) in topo.switches() {
-            if !switch_alive(s) {
-                continue;
-            }
-            for (pi, pu) in sw.ports.iter().enumerate() {
-                let r = match pu {
-                    PortUse::Host(node) => {
-                        ReachSet::from_mask(&NodeMask::single(*node))
-                    }
-                    PortUse::Link { link, .. } => {
-                        if !link_alive(*link) || updown.is_up_traversal(topo, *link, s)? {
-                            ReachSet::EMPTY
-                        } else {
-                            let peer = {
-                                let l = topo.link(*link);
-                                let side = l
-                                    .side_of(s)
-                                    .ok_or(TopologyError::Inconsistent("switch not on link"))?;
-                                l.end(1 - side).0
-                            };
-                            cover[peer.idx()].clone()
-                        }
-                    }
-                    PortUse::Open => ReachSet::EMPTY,
-                };
-                port_reach[s.idx() * pmax + pi] = r;
-            }
+        for (s, _) in topo.switches().filter(|&(s, _)| switch_alive(s)) {
+            let out = &mut port_reach[s.idx() * pmax..(s.idx() + 1) * pmax];
+            port_strings(topo, updown, s, link_alive, &cover, out)?;
         }
 
         Ok(Reachability { ports_per_switch: pmax, n_nodes: topo.num_nodes(), port_reach, cover })
@@ -334,11 +343,14 @@ impl Reachability {
             Ok(Some(!ud.is_up_traversal(topo, l, s)?))
         };
 
-        let mut locally_dirty = vec![false; n];
+        // `dirty[s]`: the liveness of `s` or an incident link's
+        // contribution changed; the cover pass adds the switches with a
+        // changed down-peer cover.
+        let mut dirty = vec![false; n];
         for (s, _) in topo.switches() {
             let (ao, an) = (alive_old(s), status_new.switch_up(s));
             if ao != an {
-                locally_dirty[s.idx()] = true;
+                dirty[s.idx()] = true;
                 continue;
             }
             if !an {
@@ -348,87 +360,44 @@ impl Reachability {
                 let old = contrib(updown_old, link_old(l), l, s)?;
                 let new = contrib(updown_new, status_new.link_up(topo, l), l, s)?;
                 if old != new {
-                    locally_dirty[s.idx()] = true;
+                    dirty[s.idx()] = true;
                     break;
                 }
             }
         }
 
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&s| {
-            let sid = SwitchId(s as u16);
-            std::cmp::Reverse((updown_new.level(sid), sid.0))
-        });
-
+        let link_new = |l| status_new.link_up(topo, l);
         let mut cover = vec![ReachSet::EMPTY; n];
-        // Materialized masks of recomputed switches (clean ones are
-        // materialized lazily, at most once).
-        let mut masks: Vec<Option<NodeMask>> = vec![None; n];
         let mut changed = vec![false; n];
         let mut recomputed = 0usize;
-        for &si in &order {
+        let mut buf = Vec::new();
+        for si in children_first(n, updown_new) {
             let s = SwitchId(si as u16);
             if !status_new.switch_up(s) {
                 changed[si] = !self.cover[si].is_empty();
                 continue;
             }
-            let needs = locally_dirty[si]
+            dirty[si] = dirty[si]
                 || updown_new
                     .down_links(topo, s)
-                    .any(|(l, peer, _)| status_new.link_up(topo, l) && changed[peer.idx()]);
-            if !needs {
+                    .any(|(l, peer, _)| link_new(l) && changed[peer.idx()]);
+            if !dirty[si] {
                 cover[si] = self.cover[si].clone();
                 continue;
             }
             recomputed += 1;
-            let mut m = topo.nodes_at(s);
-            for (l, peer, _) in updown_new.down_links(topo, s) {
-                if status_new.link_up(topo, l) {
-                    let pm = masks[peer.idx()]
-                        .get_or_insert_with(|| cover[peer.idx()].to_mask());
-                    m = m.union(&*pm);
-                }
-            }
-            let enc = ReachSet::from_mask(&m);
+            let enc = encode_cover(topo, updown_new, s, link_new, &cover, &mut buf);
             changed[si] = enc != self.cover[si];
-            masks[si] = Some(m);
             cover[si] = enc;
         }
 
         let mut port_reach = vec![ReachSet::EMPTY; n * pmax];
-        for (s, sw) in topo.switches() {
-            let si = s.idx();
-            if !status_new.switch_up(s) {
-                continue;
-            }
-            let needs = locally_dirty[si]
-                || updown_new
-                    .down_links(topo, s)
-                    .any(|(l, peer, _)| status_new.link_up(topo, l) && changed[peer.idx()]);
-            if !needs {
-                port_reach[si * pmax..si * pmax + sw.num_ports()]
-                    .clone_from_slice(&self.port_reach[si * pmax..si * pmax + sw.num_ports()]);
-                continue;
-            }
-            for (pi, pu) in sw.ports.iter().enumerate() {
-                let r = match pu {
-                    PortUse::Host(node) => ReachSet::from_mask(&NodeMask::single(*node)),
-                    PortUse::Link { link, .. } => {
-                        if !status_new.link_up(topo, *link)
-                            || updown_new.is_up_traversal(topo, *link, s)?
-                        {
-                            ReachSet::EMPTY
-                        } else {
-                            let l = topo.link(*link);
-                            let side = l
-                                .side_of(s)
-                                .ok_or(TopologyError::Inconsistent("switch not on link"))?;
-                            cover[l.end(1 - side).0.idx()].clone()
-                        }
-                    }
-                    PortUse::Open => ReachSet::EMPTY,
-                };
-                port_reach[si * pmax + pi] = r;
+        for (s, _) in topo.switches().filter(|&(s, _)| status_new.switch_up(s)) {
+            let slots = s.idx() * pmax..(s.idx() + 1) * pmax;
+            if dirty[s.idx()] {
+                port_strings(topo, updown_new, s, link_new, &cover, &mut port_reach[slots])?;
+            } else {
+                port_reach[slots.clone()].clone_from_slice(&self.port_reach[slots]);
             }
         }
 
@@ -551,6 +520,76 @@ impl Reachability {
     pub fn num_nodes(&self) -> usize {
         self.n_nodes
     }
+}
+
+/// Switch indices in decreasing (level, id): a down traversal increases
+/// the level, or keeps it while increasing the id, so every switch comes
+/// after all of its down-peers.
+fn children_first(n: usize, updown: &UpDown) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&s| {
+        let sid = SwitchId(s as u16);
+        std::cmp::Reverse((updown.level(sid), sid.0))
+    });
+    order
+}
+
+/// `cover(s)`, encoded: the hosts of `s` and the covers of its live
+/// down-peers, ORed into the word buffer `buf` and normalized once.
+/// Systems of at most [`NodeMask::INLINE_BITS`] nodes use two words and
+/// stay on the inline arm, with no allocation.
+fn encode_cover(
+    topo: &Topology,
+    updown: &UpDown,
+    s: SwitchId,
+    link_alive: impl Fn(LinkId) -> bool,
+    cover: &[ReachSet],
+    buf: &mut Vec<u64>,
+) -> ReachSet {
+    buf.clear();
+    buf.resize(topo.num_nodes().div_ceil(64).max(2), 0);
+    for pu in &topo.switch(s).ports {
+        if let PortUse::Host(node) = pu {
+            buf[node.idx() / 64] |= 1 << (node.idx() % 64);
+        }
+    }
+    for (l, peer, _) in updown.down_links(topo, s) {
+        if link_alive(l) {
+            cover[peer.idx()].or_into(buf);
+        }
+    }
+    ReachSet::from_mask(&NodeMask::from_words(buf))
+}
+
+/// The strings of the ports of `s`, written to `out`: a host port reaches
+/// its host, a live down link the peer's cover (an `Arc` clone, not a
+/// copy), and an up, dead or open port nothing.
+fn port_strings(
+    topo: &Topology,
+    updown: &UpDown,
+    s: SwitchId,
+    link_alive: impl Fn(LinkId) -> bool,
+    cover: &[ReachSet],
+    out: &mut [ReachSet],
+) -> Result<(), TopologyError> {
+    for (slot, pu) in out.iter_mut().zip(&topo.switch(s).ports) {
+        *slot = match pu {
+            PortUse::Host(node) => ReachSet::single(*node),
+            PortUse::Link { link, .. } => {
+                if !link_alive(*link) || updown.is_up_traversal(topo, *link, s)? {
+                    ReachSet::EMPTY
+                } else {
+                    let l = topo.link(*link);
+                    let side = l
+                        .side_of(s)
+                        .ok_or(TopologyError::Inconsistent("switch not on link"))?;
+                    cover[l.end(1 - side).0.idx()].clone()
+                }
+            }
+            PortUse::Open => ReachSet::EMPTY,
+        };
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -716,6 +755,35 @@ mod tests {
         let r = ReachSet::from_mask(&m);
         assert!(matches!(r, ReachSet::Dense(_)));
         assert_eq!(r.to_mask(), m);
+    }
+
+    #[test]
+    fn reachset_runs_cross_word_boundaries() {
+        // Runs that start and end inside, on and across 64-bit word
+        // boundaries, and one that ends on the last node id.
+        let ids = (60..200).chain(256..320).chain(400..401).chain(65_472..=u16::MAX);
+        let m = NodeMask::from_nodes(ids.map(NodeId));
+        let r = ReachSet::from_mask(&m);
+        let runs = [(60, 199), (256, 319), (400, 400), (65_472, u16::MAX)];
+        assert_eq!(r, ReachSet::Runs(Arc::new(runs)));
+        assert_eq!(r.to_mask(), m);
+    }
+
+    #[test]
+    fn reachset_runs_only_when_strictly_smaller() {
+        // Three words (24 bytes) hold up to five 4-byte runs; six tie.
+        let five = NodeMask::from_nodes([0u16, 2, 4, 6, 130].map(NodeId));
+        assert!(matches!(ReachSet::from_mask(&five), ReachSet::Runs(_)));
+        let six = NodeMask::from_nodes([0u16, 2, 4, 6, 8, 130].map(NodeId));
+        assert_eq!(ReachSet::from_mask(&six), ReachSet::Dense(six));
+    }
+
+    #[test]
+    fn host_port_strings_match_the_mask_encoding() {
+        for id in [0u16, 1, 127, 128, 129, 10_239, u16::MAX] {
+            let n = NodeId(id);
+            assert_eq!(ReachSet::single(n), ReachSet::from_mask(&NodeMask::single(n)), "{id}");
+        }
     }
 
     #[test]
