@@ -79,12 +79,23 @@ fn topo_config(flags: &HashMap<String, String>, seed: u64) -> Result<RandomTopol
 
 fn sim_config(flags: &HashMap<String, String>) -> Result<SimConfig, String> {
     let mut cfg = SimConfig::paper_default();
-    cfg.o_send_host = get(flags, "oh", cfg.o_send_host)?;
-    cfg.o_recv_host = cfg.o_send_host;
+    let oh = get(flags, "oh", cfg.o_send_host)?;
+    if oh == 0 {
+        return Err("--oh must be at least 1 cycle, got 0".into());
+    }
+    cfg.o_send_host = oh;
+    cfg.o_recv_host = oh;
+    // The engine adds O_h to the clock, so O_h must pass the bound that
+    // `with_r` holds O_h / R to; at R = 1 the two are the same.
+    cfg.clone().with_r(1.0).map_err(|_| format!("--oh overflows the clock, got {oh} cycles"))?;
     let r = get(flags, "r", 1.0f64)?;
     cfg = cfg.with_r(r).map_err(|e| format!("--r {e}"))?;
-    cfg.packet_payload_flits = get(flags, "packet", cfg.packet_payload_flits)?;
-    cfg.input_buffer_flits = cfg.packet_payload_flits + 40;
+    let packet = get(flags, "packet", cfg.packet_payload_flits)?;
+    // The input buffer holds a packet plus 40 flits for its header.
+    cfg.input_buffer_flits = packet.checked_add(40).ok_or_else(|| {
+        format!("--packet must leave room for a 40-flit header in a u32 buffer, got {packet}")
+    })?;
+    cfg.packet_payload_flits = packet;
     cfg.adaptive = get(flags, "adaptive", true)?;
     Ok(cfg)
 }

@@ -106,6 +106,23 @@ fn overhead_ratios_must_be_finite_and_positive() {
 }
 
 #[test]
+fn host_overheads_must_be_positive_and_fit_the_clock() {
+    let single = ["single", "--scheme", "tree", "--degree", "4", "--seeds", "1", "--trials", "1"];
+    for cmd in [&single[..], &["load", "--scheme", "tree"]] {
+        assert_clean_failure(&[cmd, &["--oh", "0"]].concat(), "--oh must be at least 1 cycle");
+        let huge = [cmd, &["--oh", "18446744073709551615"]].concat();
+        assert_clean_failure(&huge, "--oh overflows the clock");
+    }
+}
+
+#[test]
+fn packets_must_leave_room_for_their_header() {
+    let single = ["single", "--scheme", "tree", "--degree", "4", "--seeds", "1", "--trials", "1"];
+    let packet = [&single[..], &["--packet", "4294967290"]].concat();
+    assert_clean_failure(&packet, "--packet must leave room for a 40-flit header");
+}
+
+#[test]
 fn extra_link_fractions_must_be_finite_and_non_negative() {
     for f in ["nan", "inf", "-1"] {
         assert_clean_failure(&["topo", "--extra-links", f], "extra-link fraction");
