@@ -55,9 +55,10 @@ fn sim_config(n_nodes: usize) -> SimConfig {
 }
 
 pub fn units(opts: &CampaignOptions) -> Vec<Unit> {
-    // The whole curve runs in quick mode too: union-find generation and
-    // run-coded reachability keep even the 1024-switch point under
-    // ~150 ms, so quick and full campaigns are byte-identical here.
+    // The whole curve runs in quick mode too: incremental generation and
+    // the word-wise reachability build set up even the 1024-switch point
+    // in about 3 ms (release), and the unit takes ~0.1 s, so quick and
+    // full campaigns are byte-identical here.
     let _ = opts;
     let scales: Vec<usize> = vec![16, 64, 256, 1024];
     vec![Unit::new("ext_h:scaling", move |ctx: &RunCtx| {

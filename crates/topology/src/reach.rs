@@ -16,9 +16,9 @@
 //! The paper stores each string literally as *n* bits per downward port,
 //! which is O(switches · ports · nodes) — about 2 GB of strings for a
 //! 1000-switch / 10k-host fabric. Observed strings are far from random:
-//! a port deep in the tree reaches the few hosts of one subtree, and host
-//! ids inside one subtree cluster into short intervals. [`ReachSet`]
-//! therefore keeps each string in whichever of two encodings is smaller:
+//! most ports sit deep in the tree and reach the few hosts of one
+//! subtree, a few intervals of node ids. [`ReachSet`] therefore keeps
+//! each string in whichever of two encodings is smaller:
 //!
 //! * **Dense** — the literal [`NodeMask`] bit string. Systems at or below
 //!   [`NodeMask::INLINE_BITS`] nodes (every paper-scale experiment) always
