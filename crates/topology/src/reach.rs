@@ -107,7 +107,7 @@ impl ReachSet {
     }
 
     /// OR the members into `words`, which must be long enough to hold
-    /// them (and at least two words long).
+    /// them (and, for an inline `Dense` set, at least two words long).
     fn or_into(&self, words: &mut [u64]) {
         match self {
             ReachSet::Dense(m) => match m.spilled_words() {
