@@ -1,11 +1,12 @@
 //! Pinned planner outputs: the k-binomial fan-out `choose_k` picks and
-//! digests of whole ni-fpfs, ubinomial and path-based plans.
+//! digests of whole ni-fpfs, ubinomial, path-based and tree plans.
 //!
 //! The tables below were recorded from the HashMap-based FPFS estimator
 //! and the allocate-per-switch path covering that preceded the
-//! shape-only estimator and the O(|D|) covering. Any change to a planner
-//! that moves one of these values changes simulated results, so a
-//! mismatch here is a behaviour change, not a test to re-record.
+//! shape-only estimator and the O(|D|) covering; the tree digests from
+//! the apex planner that ran a cover test on every switch. Any change to
+//! a planner that moves one of these values changes simulated results,
+//! so a mismatch here is a behaviour change, not a test to re-record.
 
 use irrnet_core::rng::{fnv1a, SmallRng};
 use irrnet_core::{
@@ -13,7 +14,9 @@ use irrnet_core::{
     SchemeRegistry,
 };
 use irrnet_sim::{SendSpec, SimConfig};
-use irrnet_topology::{gen, ExtraLinks, Network, NodeId, NodeMask, RandomTopologyConfig};
+use irrnet_topology::{
+    gen, ApexPlan, ExtraLinks, Network, NodeId, NodeMask, PortUse, RandomTopologyConfig, SwitchId,
+};
 
 const MESSAGE_FLITS: [u32; 4] = [16, 128, 129, 2048];
 const R_RATIOS: [f64; 3] = [0.5, 1.0, 4.0];
@@ -197,9 +200,75 @@ fn random_dests(rng: &mut SmallRng, n: usize, degree: usize, source: NodeId) -> 
     dests
 }
 
+/// Canonical text of a tree plan: meta, every send's destinations and,
+/// for every switch a worm can reach from the source's switch by
+/// following `up_ports`, that switch's apex guidance. Switches are
+/// listed in breadth-first order from the source's switch.
+fn tree_plan_text(net: &Network, p: &McastPlan) -> String {
+    let mut out = format!(
+        "{} {}>{:?} m{} w{} p{} k{}\n",
+        p.scheme.name(),
+        p.source.0,
+        ids(&p.dests.iter().collect::<Vec<_>>()),
+        p.message_flits,
+        p.meta.worms,
+        p.meta.phases,
+        p.meta.k
+    );
+    for s in &p.initial {
+        let SendSpec::Tree { dests, plan } = s else { panic!("tree plans send tree worms") };
+        out += &format!("t{:?}\n", ids(&dests.iter().collect::<Vec<_>>()));
+        out += &apex_text(net, plan, net.topo.host_switch(p.source));
+    }
+    out
+}
+
+/// One line per switch a worm climbs through from `from`.
+fn apex_text(net: &Network, plan: &ApexPlan, from: SwitchId) -> String {
+    let mut out = String::new();
+    let mut seen = vec![false; net.topo.num_switches()];
+    let mut queue = vec![from];
+    seen[from.idx()] = true;
+    let mut head = 0;
+    while let Some(&s) = queue.get(head) {
+        head += 1;
+        let ports: Vec<u8> = plan.up_ports(s).iter().map(|p| p.0).collect();
+        out += &format!(
+            "  s{} c{} d{} {:?}\n",
+            s.0,
+            u8::from(plan.covered_at(s)),
+            plan.up_distance(s),
+            ports
+        );
+        for p in plan.up_ports(s) {
+            let PortUse::Link { link, side } = net.topo.switch(s).ports[p.idx()] else {
+                panic!("up port {p} of {s} is not a link")
+            };
+            let peer = net.topo.link(link).end(1 - side).0;
+            if !seen[peer.idx()] {
+                seen[peer.idx()] = true;
+                queue.push(peer);
+            }
+        }
+    }
+    out
+}
+
 /// FNV-1a over the canonical text of every plan `scheme` makes for the
 /// drawn multicasts, in draw order.
 fn digest(nets: &[Network], scheme: &str, degrees: &[usize], per_net: usize, seed: u64) -> u64 {
+    digest_with(nets, scheme, degrees, per_net, seed, |_, p| plan_text(p))
+}
+
+/// [`digest`] with the plan text produced by `text`.
+fn digest_with(
+    nets: &[Network],
+    scheme: &str,
+    degrees: &[usize],
+    per_net: usize,
+    seed: u64,
+    text_of: impl Fn(&Network, &McastPlan) -> String,
+) -> u64 {
     let id = SchemeRegistry::resolve(scheme).expect("builtin scheme");
     let mut text = String::new();
     for (ni, net) in nets.iter().enumerate() {
@@ -213,7 +282,7 @@ fn digest(nets: &[Network], scheme: &str, degrees: &[usize], per_net: usize, see
             let cfg = SimConfig::paper_default().with_r(R_RATIOS[i % R_RATIOS.len()]).unwrap();
             let plan = try_plan_multicast(net, &cfg, id, source, dests, mf)
                 .unwrap_or_else(|e| panic!("{scheme}: {e}"));
-            text += &plan_text(&plan);
+            text += &text_of(net, &plan);
         }
     }
     fnv1a(text.as_bytes())
@@ -229,9 +298,30 @@ fn check_digests(nets: &[Network], degrees: &[usize], per_net: usize, seed: u64,
     );
 }
 
-#[test]
-fn plans_on_paper_default_topologies_match_recorded_digests() {
-    let nets: Vec<Network> = (0..6)
+/// Tree schemes whose plans and apex guidance the tree digests cover.
+const TREE_SCHEMES: [&str; 2] = ["tree", "tree-cap4"];
+
+fn check_tree_digests(
+    nets: &[Network],
+    degrees: &[usize],
+    per_net: usize,
+    seed: u64,
+    want: &[u64; 2],
+) {
+    let got: Vec<u64> = TREE_SCHEMES
+        .iter()
+        .map(|s| digest_with(nets, s, degrees, per_net, seed, tree_plan_text))
+        .collect();
+    assert_eq!(
+        got,
+        want.to_vec(),
+        "tree plan digests for {TREE_SCHEMES:?} changed; computed: [{}]",
+        got.iter().map(|d| format!("0x{d:016x}")).collect::<Vec<_>>().join(", ")
+    );
+}
+
+fn paper_default_nets() -> Vec<Network> {
+    (0..6)
         .map(|seed| {
             let cfg = match seed % 3 {
                 0 => RandomTopologyConfig::paper_default(seed),
@@ -240,10 +330,30 @@ fn plans_on_paper_default_topologies_match_recorded_digests() {
             };
             Network::analyze(gen::generate(&cfg).unwrap()).unwrap()
         })
-        .collect();
+        .collect()
+}
+
+/// The 256-switch, 2,560-node fabric: destination sets hold ids past
+/// 128, so `NodeMask` uses its heap representation.
+fn fabric_256() -> Network {
+    let cfg = RandomTopologyConfig {
+        num_switches: 256,
+        ports_per_switch: 16,
+        num_hosts: 2560,
+        extra_links: ExtraLinks::Fraction(0.5),
+        seed: 7,
+    };
+    Network::analyze(gen::generate(&cfg).unwrap()).unwrap()
+}
+
+const PAPER_DEGREES: [usize; 9] = [1, 2, 3, 5, 8, 12, 16, 24, 31];
+const FABRIC_DEGREES: [usize; 5] = [8, 64, 5, 200, 16];
+
+#[test]
+fn plans_on_paper_default_topologies_match_recorded_digests() {
     check_digests(
-        &nets,
-        &[1, 2, 3, 5, 8, 12, 16, 24, 31],
+        &paper_default_nets(),
+        &PAPER_DEGREES,
         40,
         0x9E37_79B9,
         &[
@@ -258,19 +368,9 @@ fn plans_on_paper_default_topologies_match_recorded_digests() {
 
 #[test]
 fn plans_on_a_256_switch_fabric_match_recorded_digests() {
-    // 2,560 nodes: destination sets hold ids past 128, so NodeMask uses
-    // its heap representation.
-    let cfg = RandomTopologyConfig {
-        num_switches: 256,
-        ports_per_switch: 16,
-        num_hosts: 2560,
-        extra_links: ExtraLinks::Fraction(0.5),
-        seed: 7,
-    };
-    let net = Network::analyze(gen::generate(&cfg).unwrap()).unwrap();
     check_digests(
-        &[net],
-        &[8, 64, 5, 200, 16],
+        &[fabric_256()],
+        &FABRIC_DEGREES,
         10,
         0x5EED_0256,
         &[
@@ -280,5 +380,27 @@ fn plans_on_a_256_switch_fabric_match_recorded_digests() {
             0xcac37fea96a1cbb1,
             0xf8ac84d719f9edbd,
         ],
+    );
+}
+
+#[test]
+fn tree_plans_on_paper_default_topologies_match_recorded_digests() {
+    check_tree_digests(
+        &paper_default_nets(),
+        &PAPER_DEGREES,
+        40,
+        0x9E37_79B9,
+        &[0x960804fea438ddae, 0xd1f35fa864925884],
+    );
+}
+
+#[test]
+fn tree_plans_on_a_256_switch_fabric_match_recorded_digests() {
+    check_tree_digests(
+        &[fabric_256()],
+        &FABRIC_DEGREES,
+        10,
+        0x5EED_0256,
+        &[0x134399d757373f3b, 0x7e304ee611608ceb],
     );
 }
