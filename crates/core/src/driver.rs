@@ -59,14 +59,7 @@ impl Protocol for SchemeProtocol {
         _now: u64,
     ) -> Result<Vec<(McastId, SendSpec)>, ProtocolError> {
         let plan = self.plan_or_err(mcast)?;
-        Ok(plan
-            .on_delivered
-            .get(&node)
-            .cloned()
-            .unwrap_or_default()
-            .into_iter()
-            .map(|s| (mcast, s))
-            .collect())
+        Ok(plan.on_delivered.get(node).iter().map(|s| (mcast, s.clone())).collect())
     }
 
     fn on_packet_at_ni(
@@ -83,12 +76,12 @@ impl Protocol for SchemeProtocol {
             return Ok(Vec::new());
         }
         let mut out = Vec::new();
-        if let Some(children) = plan.fpfs_children.get(&node) {
-            out.push(SendSpec::FpfsChildren { children: children.clone() });
+        let children = plan.fpfs_children.get(node);
+        if !children.is_empty() {
+            out.push(SendSpec::FpfsChildren { children: children.to_vec() });
         }
-        if let Some(worms) = plan.ni_path_forwards.get(&node) {
-            out.extend(worms.iter().cloned().map(|spec| SendSpec::Path { spec }));
-        }
+        let worms = plan.ni_path_forwards.get(node);
+        out.extend(worms.iter().cloned().map(|spec| SendSpec::Path { spec }));
         Ok(out)
     }
 }

@@ -28,7 +28,7 @@ pub fn header_costs(net: &Network, plan: &McastPlan) -> HeaderCosts {
     let mut total = 0usize;
     let mut max = 0usize;
     let mut worms = 0usize;
-    for spec in plan.initial.iter().chain(plan.on_delivered.values().flatten()) {
+    for spec in plan.initial.iter().chain(plan.on_delivered.items()) {
         let h = spec.header_flits(&cfg, n) as usize;
         let copies = spec.copies_per_packet();
         total += h * copies;
@@ -39,7 +39,7 @@ pub fn header_costs(net: &Network, plan: &McastPlan) -> HeaderCosts {
     // unicast copy per child. Capability-driven — the table is only
     // populated by schemes declaring `ni_forwarding`.
     if plan.scheme.caps().ni_forwarding {
-        for kids in plan.fpfs_children.values() {
+        for (_, kids) in plan.fpfs_children.iter() {
             let h = cfg.unicast_header_flits as usize;
             total += h * kids.len();
             worms += kids.len();
@@ -47,13 +47,11 @@ pub fn header_costs(net: &Network, plan: &McastPlan) -> HeaderCosts {
         }
     }
     // Hybrid NI+switch forwarding: leaders inject path worms at the NI.
-    for specs in plan.ni_path_forwards.values() {
-        for spec in specs {
-            let h = cfg.path_header_flits(spec.stops.len()) as usize;
-            total += h;
-            worms += 1;
-            max = max.max(h);
-        }
+    for spec in plan.ni_path_forwards.items() {
+        let h = cfg.path_header_flits(spec.stops.len()) as usize;
+        total += h;
+        worms += 1;
+        max = max.max(h);
     }
     // Software binomial forwarding copies are already in `on_delivered`.
     let _ = SendSpec::Unicast { dest: irrnet_topology::NodeId(0) }; // (type anchor)
@@ -84,8 +82,8 @@ pub fn path_scheme_switch_state_bits(_net: &Network) -> usize {
 /// The worst case is the maximum fan-out of the k-binomial tree.
 pub fn fpfs_ni_buffer_packets(plan: &McastPlan) -> usize {
     plan.fpfs_children
-        .values()
-        .map(Vec::len)
+        .iter()
+        .map(|(_, kids)| kids.len())
         .max()
         .unwrap_or(0)
         .max(plan.meta.k)

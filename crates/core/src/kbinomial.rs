@@ -16,18 +16,28 @@
 //! identities, so `choose_k` evaluates it on the shape over dense virtual
 //! ids without labelling a tree; [`estimate_fpfs_completion`] is the same
 //! model for an already built [`McastTree`].
+//!
+//! The answer of `choose_k` is a pure function of the destination count
+//! and the message's cost terms (`FpfsCosts`, which holds every number
+//! the estimate reads), so each thread keeps the answers for the last cost
+//! terms it saw, by destination count, and the shapes and availability
+//! rows it evaluates them on. Together with the placement buffers of
+//! [`build_k_binomial`], that working space makes both functions free of
+//! per-call heap allocation once warm.
 
+use crate::table::NodeTable;
 use irrnet_sim::SimConfig;
-use irrnet_topology::NodeId;
-use std::collections::HashMap;
+use irrnet_topology::{NodeId, NodeMask};
+use std::cell::RefCell;
 
 /// A multicast tree: parent/children relations over `source ∪ dests`.
 #[derive(Debug, Clone)]
 pub struct McastTree {
     /// The root (multicast source).
     pub source: NodeId,
-    /// Children per node, in send order. Nodes without children are absent.
-    pub children: HashMap<NodeId, Vec<NodeId>>,
+    /// Children per node, in send order. Nodes without children have no
+    /// list.
+    pub children: NodeTable<NodeId>,
     /// Nodes in the order they are informed (root first) — the
     /// construction order, used by the cost model.
     pub bfs_order: Vec<NodeId>,
@@ -43,7 +53,7 @@ pub struct McastTree {
 impl McastTree {
     /// Children of a node (empty slice if none).
     pub fn children_of(&self, n: NodeId) -> &[NodeId] {
-        self.children.get(&n).map(Vec::as_slice).unwrap_or(&[])
+        self.children.get(n)
     }
 
     /// Total nodes (source + destinations).
@@ -58,15 +68,11 @@ impl McastTree {
 
     /// Depth (edges on the longest root-leaf path).
     pub fn depth(&self) -> usize {
-        let mut depth = HashMap::new();
-        depth.insert(self.source, 0usize);
         let mut max = 0;
-        for &n in &self.bfs_order {
-            let d = depth[&n];
-            for &c in self.children_of(n) {
-                depth.insert(c, d + 1);
-                max = max.max(d + 1);
-            }
+        let mut stack = vec![(self.source, 0usize)];
+        while let Some((n, d)) = stack.pop() {
+            max = max.max(d);
+            stack.extend(self.children_of(n).iter().map(|&c| (c, d + 1)));
         }
         max
     }
@@ -74,22 +80,85 @@ impl McastTree {
     /// Verify structural invariants: spans exactly `1 + #dests` nodes,
     /// every node has ≤ k children, every non-root has one parent.
     pub fn verify(&self) -> Result<(), String> {
-        let mut seen = HashMap::new();
-        seen.insert(self.source, ());
-        for (&p, kids) in &self.children {
+        let mut seen = NodeMask::single(self.source);
+        for (p, kids) in self.children.iter() {
             if kids.len() > self.k {
                 return Err(format!("{p} has {} > k={} children", kids.len(), self.k));
             }
             for &c in kids {
-                if seen.insert(c, ()).is_some() {
+                if seen.contains(c) {
                     return Err(format!("{c} has two parents"));
                 }
+                seen.insert(c);
             }
         }
         if seen.len() != self.bfs_order.len() {
             return Err("tree does not span its order list".into());
         }
         Ok(())
+    }
+}
+
+thread_local! {
+    /// This thread's working space for [`choose_k`] and
+    /// [`build_k_binomial`].
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Buffers reused from call to call, and `choose_k`'s answers.
+#[derive(Default)]
+struct Scratch {
+    shape: Shape,
+    /// Per node and packet, the cycle the packet is available in the
+    /// node's NI memory ([`FpfsCosts::estimate`]).
+    avail: Vec<u64>,
+    /// Subtree sizes over virtual ids ([`build_k_binomial`]).
+    size: Vec<u32>,
+    /// Pending `(virtual id, lo, hi)` placements ([`build_k_binomial`]).
+    stack: Vec<(u32, u32, u32)>,
+    /// The cost terms `answers` hold `choose_k`'s answers for.
+    answers_for: Option<FpfsCosts>,
+    /// `choose_k`'s answer by destination count; 0 = not evaluated yet.
+    answers: Vec<u8>,
+}
+
+impl Scratch {
+    /// `choose_k` for `d ≥ 2` destinations: the stored answer for these
+    /// cost terms, or a fresh evaluation, which is then stored.
+    fn choose_k(&mut self, d: usize, costs: &FpfsCosts) -> usize {
+        if self.answers_for.as_ref() != Some(costs) {
+            self.answers_for = Some(*costs);
+            self.answers.clear();
+        }
+        if self.answers.len() <= d {
+            self.answers.resize(d + 1, 0);
+        }
+        if self.answers[d] == 0 {
+            self.answers[d] = self.evaluate_k(d, costs) as u8;
+        }
+        self.answers[d] as usize
+    }
+
+    /// Evaluate the FPFS estimate of the k-binomial shape over `d + 1`
+    /// nodes for `k = 1..=min(8, d)`; the smallest `k` with the least
+    /// estimate wins.
+    fn evaluate_k(&mut self, d: usize, costs: &FpfsCosts) -> usize {
+        let mut best_k = 1;
+        let mut best_t = u64::MAX;
+        for k in 1..=d.min(8) {
+            self.shape.rebuild(d + 1, k);
+            let t = costs.estimate(&self.shape, &mut self.avail);
+            if t < best_t {
+                best_t = t;
+                best_k = k;
+            }
+            if self.shape.max_fanout < k {
+                // The bound never bit, so every larger k builds this same
+                // shape, and a tie keeps the smaller k.
+                break;
+            }
+        }
+        best_k
     }
 }
 
@@ -107,47 +176,42 @@ impl McastTree {
 pub fn build_k_binomial(source: NodeId, dests: &[NodeId], k: usize) -> McastTree {
     assert!(k >= 1, "k must be at least 1");
     let n = dests.len() + 1;
-    let shape = Shape::k_binomial(n, k);
-
-    // Subtree sizes (children always have larger virtual ids).
-    let mut size = vec![1usize; n];
-    for v in (0..n).rev() {
-        for &c in shape.kids(v) {
-            size[v] += size[c as usize];
-        }
-    }
-
-    // Contiguous placement: all[0] = source, all[1..] = dests; the
-    // subtree of a virtual node occupies one slice, its root at the
-    // slice's front, its children's slices carved from the back
+    // Contiguous placement: position 0 is the source, positions 1.. the
+    // dests; the subtree of a virtual node occupies one slice, its root at
+    // the slice's front, its children's slices carved from the back
     // (first-sent child = farthest slice).
-    let mut all: Vec<NodeId> = Vec::with_capacity(n);
-    all.push(source);
-    all.extend_from_slice(dests);
-    let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut vlabel: Vec<NodeId> = vec![NodeId(0); n];
-    let mut stack: Vec<(usize, usize, usize)> = vec![(0, 0, n)]; // (virtual, lo, hi)
-    while let Some((v, lo, hi)) = stack.pop() {
-        debug_assert_eq!(hi - lo, size[v]);
-        let me = all[lo];
-        vlabel[v] = me;
-        let mut end = hi;
-        let mut kids_labeled = Vec::with_capacity(shape.kids(v).len());
-        for &c in shape.kids(v) {
-            let c = c as usize;
-            let start = end - size[c];
-            kids_labeled.push(all[start]);
-            stack.push((c, start, end));
-            end = start;
+    let at = |i: u32| if i == 0 { source } else { dests[i as usize - 1] };
+    let mut edges = Vec::with_capacity(n - 1);
+    let mut bfs_order = vec![source; n];
+    let rounds = SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch { shape, size, stack, .. } = scratch;
+        shape.rebuild(n, k);
+        // Subtree sizes (children always have larger virtual ids).
+        size.clear();
+        size.resize(n, 1);
+        for v in (0..n).rev() {
+            let sub: u32 = shape.kids(v).iter().map(|&c| size[c as usize]).sum();
+            size[v] += sub;
         }
-        debug_assert_eq!(end, lo + 1);
-        if !kids_labeled.is_empty() {
-            children.insert(me, kids_labeled);
+        stack.clear();
+        stack.push((0, 0, n as u32));
+        while let Some((v, lo, hi)) = stack.pop() {
+            debug_assert_eq!(hi - lo, size[v as usize]);
+            let me = at(lo);
+            // Virtual ids are the informed order.
+            bfs_order[v as usize] = me;
+            let mut end = hi;
+            for &c in shape.kids(v as usize) {
+                let start = end - size[c as usize];
+                edges.push((me, at(start)));
+                stack.push((c, start, end));
+                end = start;
+            }
+            debug_assert_eq!(end, lo + 1);
         }
-    }
-
-    // Virtual ids are the informed order.
-    McastTree { source, children, bfs_order: vlabel, k, rounds: shape.rounds }
+        shape.rounds
+    });
+    McastTree { source, children: NodeTable::from_pairs(edges), bfs_order, k, rounds }
 }
 
 /// Ablation variant of [`build_k_binomial`]: identical tree *shape*, but
@@ -162,14 +226,11 @@ pub fn build_k_binomial_scattered(source: NodeId, dests: &[NodeId], k: usize) ->
     let mut bfs_order: Vec<NodeId> = Vec::with_capacity(dests.len() + 1);
     bfs_order.push(source);
     bfs_order.extend_from_slice(dests);
-    let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut edges = Vec::with_capacity(dests.len());
     for (v, &me) in bfs_order.iter().enumerate() {
-        let kids = shape.kids(v);
-        if !kids.is_empty() {
-            children.insert(me, kids.iter().map(|&c| bfs_order[c as usize]).collect());
-        }
+        edges.extend(shape.kids(v).iter().map(|&c| (me, bfs_order[c as usize])));
     }
-    McastTree { source, children, bfs_order, k, rounds: shape.rounds }
+    McastTree { source, children: NodeTable::from_pairs(edges), bfs_order, k, rounds: shape.rounds }
 }
 
 /// A tree shape over virtual ids `0..n` in informed order: 0 is the
@@ -243,52 +304,77 @@ impl Shape {
     }
 }
 
-/// The per-packet cost terms of the FPFS estimate for one message.
+/// The cost terms of the FPFS estimate for one message: everything
+/// [`FpfsCosts::estimate`] reads besides the tree shape. Every packet but
+/// the last carries a full payload, and only the first pays the full NI
+/// overheads, so three packet classes hold every per-packet cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FpfsCosts {
     o_send_host: u64,
     o_recv_host: u64,
     /// Network latency of one replica: pipeline hops plus the link.
     net_lat: u64,
-    /// Per packet: host↔NI DMA time.
-    dma: Vec<u64>,
-    /// Per packet: flits on the wire (header + payload).
-    wire: Vec<u64>,
-    /// Per packet: NI cost of injecting one copy.
-    tx: Vec<u64>,
-    /// Per packet: NI cost of receiving it.
-    rx: Vec<u64>,
+    /// Packets in the message.
+    packets: usize,
+    /// Host↔NI DMA time of a full packet and of the last packet.
+    dma: [u64; 2],
+    /// Flits on the wire (header + payload) of a full and of the last packet.
+    wire: [u64; 2],
+    /// NI cost of injecting a copy of the first packet.
+    tx_first: u64,
+    /// NI cost of receiving the first packet.
+    rx_first: u64,
+    /// NI cost of injecting or receiving any later packet.
+    light: u64,
 }
 
 impl FpfsCosts {
     fn new(cfg: &SimConfig, message_flits: u32, hops_est: u32) -> Self {
         let m = cfg.packets_for(message_flits);
-        let payload = |j: u32| cfg.packet_payload(message_flits, j);
+        // The full payload, and the last packet's.
+        let payload = [cfg.packet_payload_flits, cfg.packet_payload(message_flits, m - 1)];
         // O_{s,ni} / O_{r,ni} on a message copy's first packet, light
         // handling on the rest — mirrors the engine's charging.
-        let first_or_light =
-            |j: u32, first: u64| if j == 0 { first } else { cfg.o_ni_per_packet() };
         FpfsCosts {
             o_send_host: cfg.o_send_host,
             o_recv_host: cfg.o_recv_host,
             net_lat: (hops_est as u64) * cfg.hop_latency() + cfg.link_delay,
-            dma: (0..m).map(|j| cfg.dma_cycles(payload(j))).collect(),
-            wire: (0..m).map(|j| (cfg.unicast_header_flits + payload(j)) as u64).collect(),
-            tx: (0..m).map(|j| first_or_light(j, cfg.o_send_ni)).collect(),
-            rx: (0..m).map(|j| first_or_light(j, cfg.o_recv_ni)).collect(),
+            packets: m as usize,
+            dma: payload.map(|p| cfg.dma_cycles(p)),
+            wire: payload.map(|p| (cfg.unicast_header_flits + p) as u64),
+            tx_first: cfg.o_send_ni,
+            rx_first: cfg.o_recv_ni,
+            light: cfg.o_ni_per_packet(),
         }
+    }
+
+    /// Index into `dma` / `wire` of packet `j`.
+    #[inline]
+    fn class(&self, j: usize) -> usize {
+        usize::from(j + 1 == self.packets)
+    }
+
+    #[inline]
+    fn tx(&self, j: usize) -> u64 {
+        if j == 0 { self.tx_first } else { self.light }
+    }
+
+    #[inline]
+    fn rx(&self, j: usize) -> u64 {
+        if j == 0 { self.rx_first } else { self.light }
     }
 
     /// The FPFS completion estimate of a tree shape (see
     /// [`estimate_fpfs_completion`]). `avail` is a reused buffer: per node and
     /// packet, the cycle the packet is available in the node's NI memory.
     fn estimate(&self, shape: &Shape, avail: &mut Vec<u64>) -> u64 {
-        let m = self.dma.len();
+        let m = self.packets;
         avail.clear();
         avail.resize(shape.len() * m, 0);
         // Source: O_{s,h} then pipelined DMA.
         let mut t = self.o_send_host;
-        for (a, dma) in avail.iter_mut().zip(&self.dma) {
-            t += dma;
+        for (j, a) in avail[..m].iter_mut().enumerate() {
+            t += self.dma[self.class(j)];
             *a = t;
         }
         let mut completion = 0u64;
@@ -300,9 +386,10 @@ impl FpfsCosts {
             let (mut ni_t, mut link_t) = (0u64, 0u64);
             for j in 0..m {
                 let avail_j = avail[v * m + j];
+                let (tx, wire) = (self.tx(j), self.wire[self.class(j)]);
                 for &c in kids {
-                    ni_t = ni_t.max(avail_j) + self.tx[j];
-                    link_t = link_t.max(ni_t) + self.wire[j];
+                    ni_t = ni_t.max(avail_j) + tx;
+                    link_t = link_t.max(ni_t) + wire;
                     avail[c as usize * m + j] = link_t + self.net_lat;
                 }
             }
@@ -310,16 +397,16 @@ impl FpfsCosts {
             for &c in kids {
                 let row = &mut avail[c as usize * m..(c as usize + 1) * m];
                 let mut rx_t = 0u64;
-                for (a, rx) in row.iter_mut().zip(&self.rx) {
-                    rx_t = rx_t.max(*a) + rx;
+                for (j, a) in row.iter_mut().enumerate() {
+                    rx_t = rx_t.max(*a) + self.rx(j);
                     *a = rx_t;
                 }
             }
             // Host-side completion of this node (destinations only).
             if v != 0 {
                 let mut bus_t = 0u64;
-                for (a, dma) in avail[v * m..(v + 1) * m].iter().zip(&self.dma) {
-                    bus_t = bus_t.max(*a) + dma;
+                for (j, a) in avail[v * m..(v + 1) * m].iter().enumerate() {
+                    bus_t = bus_t.max(*a) + self.dma[self.class(j)];
                 }
                 completion = completion.max(bus_t + self.o_recv_host);
             }
@@ -346,11 +433,15 @@ pub fn estimate_fpfs_completion(
     hops_est: u32,
 ) -> u64 {
     // The tree's shape over its informed order.
-    let pos: HashMap<NodeId, u32> =
+    let mut pos: Vec<(NodeId, u32)> =
         tree.bfs_order.iter().enumerate().map(|(i, &nd)| (nd, i as u32)).collect();
+    pos.sort_unstable();
+    let pos_of = |c: &NodeId| {
+        pos[pos.binary_search_by_key(c, |&(nd, _)| nd).expect("child in order")].1
+    };
     let mut shape = Shape { start: vec![0], ..Shape::default() };
     for &nd in &tree.bfs_order {
-        shape.kids.extend(tree.children_of(nd).iter().map(|c| pos[c]));
+        shape.kids.extend(tree.children_of(nd).iter().map(pos_of));
         shape.start.push(shape.kids.len() as u32);
     }
     FpfsCosts::new(cfg, message_flits, hops_est).estimate(&shape, &mut Vec::new())
@@ -361,30 +452,15 @@ pub fn estimate_fpfs_completion(
 /// ties prefer smaller `k` (less hot-spotting at the source switch).
 ///
 /// Only `dests.len()` matters: the estimate depends on the tree's shape,
-/// which the destination count and `k` fix.
+/// which the destination count and `k` fix. The answer is reused for
+/// later calls with the same destination count and cost terms (see the
+/// module docs).
 pub fn choose_k(dests: &[NodeId], cfg: &SimConfig, message_flits: u32, hops_est: u32) -> usize {
     if dests.len() <= 1 {
         return 1;
     }
-    let n = dests.len() + 1;
     let costs = FpfsCosts::new(cfg, message_flits, hops_est);
-    let (mut shape, mut avail) = (Shape::default(), Vec::new());
-    let mut best_k = 1;
-    let mut best_t = u64::MAX;
-    for k in 1..=dests.len().min(8) {
-        shape.rebuild(n, k);
-        let t = costs.estimate(&shape, &mut avail);
-        if t < best_t {
-            best_t = t;
-            best_k = k;
-        }
-        if shape.max_fanout < k {
-            // The bound never bit, so every larger k builds this same
-            // shape, and a tie keeps the smaller k.
-            break;
-        }
-    }
-    best_k
+    SCRATCH.with_borrow_mut(|scratch| scratch.choose_k(dests.len(), &costs))
 }
 
 #[cfg(test)]
@@ -452,7 +528,7 @@ mod tests {
     fn k2_bounds_fanout() {
         let t = build_k_binomial(NodeId(0), &nodes(&[1, 2, 3, 4, 5, 6, 7, 8, 9]), 2);
         t.verify().unwrap();
-        for kids in t.children.values() {
+        for (_, kids) in t.children.iter() {
             assert!(kids.len() <= 2);
         }
         assert_eq!(t.len(), 10);
@@ -499,6 +575,48 @@ mod tests {
         let short = estimate_fpfs_completion(&t, &cfg, 128, 3);
         let long = estimate_fpfs_completion(&t, &cfg, 1024, 3);
         assert!(long > short);
+    }
+
+    #[test]
+    fn reused_answers_match_fresh_evaluations() {
+        // Interleave degrees, R values and hop estimates under each message
+        // length so the stored answers are read back under changing cost
+        // terms, some of which change the answer for the same degree.
+        let ds: Vec<NodeId> = (1..=40).map(NodeId).collect();
+        let mut changed = 0;
+        for round in 0..2usize {
+            for mf in [2048, 16, 4096, 129] {
+                let mut answers: Vec<(usize, usize)> = Vec::new();
+                for (i, d) in [3usize, 9, 40, 16, 3, 27, 9, 2, 40, 3].into_iter().enumerate() {
+                    let r = [0.5, 1.0, 4.0][(i + round) % 3];
+                    let cfg = SimConfig::paper_default().with_r(r).unwrap();
+                    let hops = [1, 3, 6][(i + 2 * round) % 3];
+                    let fresh = Scratch::default().evaluate_k(d, &FpfsCosts::new(&cfg, mf, hops));
+                    let got = choose_k(&ds[..d], &cfg, mf, hops);
+                    assert_eq!(got, fresh, "d={d} R={r} mf={mf} hops={hops}");
+                    if answers.iter().any(|&(ad, k)| ad == d && k != fresh) {
+                        changed += 1;
+                    }
+                    answers.push((d, fresh));
+                }
+            }
+        }
+        assert!(changed > 0, "no degree's answer changed with the cost terms");
+    }
+
+    #[test]
+    fn cost_terms_separate_messages_with_different_costs() {
+        let cfg = SimConfig::paper_default();
+        // A one-packet message: the first packet is also the last.
+        let one = FpfsCosts::new(&cfg, 16, 3);
+        assert_eq!(one.packets, 1);
+        assert_eq!(one.class(0), 1);
+        assert_eq!(one.dma[1], cfg.dma_cycles(16));
+        // Same packet count, different last payload.
+        assert_ne!(FpfsCosts::new(&cfg, 128, 3), FpfsCosts::new(&cfg, 127, 3));
+        assert_ne!(FpfsCosts::new(&cfg, 128, 3), FpfsCosts::new(&cfg, 128, 4));
+        let r = SimConfig::paper_default().with_r(4.0).unwrap();
+        assert_ne!(FpfsCosts::new(&cfg, 128, 3), FpfsCosts::new(&r, 128, 3));
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod model;
 pub mod order;
 pub mod plan;
 pub mod schemes;
+pub mod table;
 
 pub use driver::SchemeProtocol;
 /// Deterministic PRNG + hash primitives (splitmix64, xoshiro256**,
@@ -63,3 +64,4 @@ pub use mdp::{plan_paths, verify_path_spec, PathPlan, PathVariant};
 pub use model::LatencyModel;
 pub use plan::{try_plan_multicast, McastPlan, PlanMeta};
 pub use schemes::{PlanError, SchemeCaps, SchemeId, SchemeRegistry};
+pub use table::NodeTable;

@@ -23,9 +23,10 @@
 //! contention reduction that made MDP-LG the best performer in the
 //! original study.
 
+use crate::table::NodeTable;
 use irrnet_sim::{PathStop, PathWormSpec};
 use irrnet_topology::{Network, NodeId, NodeMask, Phase, SwitchId};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Which covering heuristic to use.
@@ -44,11 +45,17 @@ pub enum PathVariant {
 pub struct PathPlan {
     /// Worms each sender transmits, in order. Keys are the source plus the
     /// leader destinations promoted to senders.
-    pub assignments: HashMap<NodeId, Vec<Arc<PathWormSpec>>>,
+    pub assignments: NodeTable<Arc<PathWormSpec>>,
     /// All worms, in planning order.
     pub worms: Vec<Arc<PathWormSpec>>,
     /// Number of binomial-style phases the schedule needs.
     pub phases: usize,
+}
+
+thread_local! {
+    /// This thread's covering working space, reused by every multicast
+    /// it plans.
+    static COVER: RefCell<Cover> = RefCell::new(Cover::default());
 }
 
 /// Plan multi-drop worms covering `dests` from `source`.
@@ -62,87 +69,113 @@ pub fn plan_paths(
 ) -> PathPlan {
     assert!(!dests.is_empty(), "empty destination set");
     assert!(!dests.contains(source), "source among destinations");
-
-    let mut cover = Cover::new(net, &dests, variant);
-    let mut senders: Vec<NodeId> = vec![source];
-    let mut assignments: HashMap<NodeId, Vec<Arc<PathWormSpec>>> = HashMap::new();
-    let mut worms = Vec::new();
-    let mut phases = 0usize;
-
-    while cover.remaining > 0 {
-        phases += 1;
-        let mut new_senders = Vec::new();
-        for &s in &senders {
-            if cover.remaining == 0 {
-                break;
-            }
-            let spec = cover.best_worm(net.topo.host_switch(s));
-            // The next-phase sender is the worm's *anchor* destination —
-            // the unicast addressee whose route the worm follows (its
-            // final drop). It can only forward after the whole message
-            // has reached the end of the path, which is what serializes
-            // path-based phases on message length (§4.2.3).
-            let leader = *spec
-                .stops
-                .last()
-                .expect("worm has stops")
-                .drops
-                .last()
-                .expect("stop has drops");
-            let spec = Arc::new(spec);
-            assignments.entry(s).or_default().push(spec.clone());
-            worms.push(spec);
-            new_senders.push(leader);
-        }
-        senders.extend(new_senders);
-    }
-
-    PathPlan { assignments, worms, phases }
+    COVER.with_borrow_mut(|cover| cover.plan(net, source, &dests, variant))
 }
 
 /// The covering state of one multicast. Work per worm follows the
 /// uncovered destinations, not the switch count: switches are visited
 /// only as anchors hosting an uncovered destination or on a candidate
-/// route, and the route-DP buffers are allocated once per multicast.
-struct Cover<'a> {
-    net: &'a Network,
-    variant: PathVariant,
+/// route. The buffers outlive the multicast, so a warm thread plans
+/// without allocating anything but the plan itself; every per-switch
+/// entry is stamped with the multicast or route walk it belongs to, so
+/// nothing needs clearing between multicasts.
+#[derive(Default)]
+struct Cover {
     /// The destinations ordered by (switch, node id).
     dests: Vec<(SwitchId, NodeId)>,
     /// The switches hosting a destination, ascending.
     anchors: Vec<SwitchId>,
-    /// Uncovered destinations per switch. A worm drops at every
-    /// uncovered destination of a switch it visits, so a switch's
+    /// Per switch: `(multicast stamp, uncovered destinations)`; an entry
+    /// stamped with an earlier multicast reads as 0. A worm drops at
+    /// every uncovered destination of a switch it visits, so a switch's
     /// destinations are either all uncovered or all covered.
-    uncovered: Vec<u32>,
+    uncovered: Vec<(u32, u32)>,
+    /// Stamp of the multicast being planned.
+    stamp: u32,
     /// Uncovered destinations in total.
     remaining: usize,
+    /// Senders so far, in the order they were promoted.
+    senders: Vec<NodeId>,
+    /// The route of the best candidate worm so far.
+    best_path: Vec<(SwitchId, Phase)>,
     dp: RouteDp,
 }
 
-impl<'a> Cover<'a> {
-    fn new(net: &'a Network, dests: &NodeMask, variant: PathVariant) -> Self {
-        let n = net.topo.num_switches();
-        let mut by_switch: Vec<(SwitchId, NodeId)> =
-            dests.iter().map(|d| (net.topo.host_switch(d), d)).collect();
-        by_switch.sort_unstable();
-        let mut uncovered = vec![0u32; n];
-        let mut anchors = Vec::new();
-        for &(s, _) in &by_switch {
-            if uncovered[s.idx()] == 0 {
-                anchors.push(s);
+impl Cover {
+    fn plan(
+        &mut self,
+        net: &Network,
+        source: NodeId,
+        dests: &NodeMask,
+        variant: PathVariant,
+    ) -> PathPlan {
+        self.start(net, dests);
+        self.senders.clear();
+        self.senders.push(source);
+        // Every worm covers at least one anchor.
+        let mut sent: Vec<(NodeId, Arc<PathWormSpec>)> = Vec::with_capacity(self.anchors.len());
+        let mut phases = 0usize;
+        while self.remaining > 0 {
+            phases += 1;
+            // Only the senders of earlier phases send in this one.
+            for i in 0..self.senders.len() {
+                if self.remaining == 0 {
+                    break;
+                }
+                let s = self.senders[i];
+                let spec = self.best_worm(net, variant, net.topo.host_switch(s));
+                // The next-phase sender is the worm's *anchor* destination
+                // — the unicast addressee whose route the worm follows (its
+                // final drop). It can only forward after the whole message
+                // has reached the end of the path, which is what serializes
+                // path-based phases on message length (§4.2.3).
+                let leader = *spec
+                    .stops
+                    .last()
+                    .expect("worm has stops")
+                    .drops
+                    .last()
+                    .expect("stop has drops");
+                sent.push((s, Arc::new(spec)));
+                self.senders.push(leader);
             }
-            uncovered[s.idx()] += 1;
         }
-        Cover {
-            net,
-            variant,
-            remaining: by_switch.len(),
-            dests: by_switch,
-            anchors,
-            uncovered,
-            dp: RouteDp::new(n),
+        let worms = sent.iter().map(|(_, spec)| spec.clone()).collect();
+        PathPlan { assignments: NodeTable::from_pairs(sent), worms, phases }
+    }
+
+    /// Reset for a new multicast over `dests`.
+    fn start(&mut self, net: &Network, dests: &NodeMask) {
+        let n = net.topo.num_switches();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // A wrapped stamp could match a stale entry; start over.
+            self.uncovered.fill((0, 0));
+            self.stamp = 1;
         }
+        if self.uncovered.len() < n {
+            self.uncovered.resize(n, (0, 0));
+        }
+        self.dests.clear();
+        self.dests.extend(dests.iter().map(|d| (net.topo.host_switch(d), d)));
+        self.dests.sort_unstable();
+        self.anchors.clear();
+        for &(s, _) in &self.dests {
+            let entry = &mut self.uncovered[s.idx()];
+            if entry.0 != self.stamp {
+                *entry = (self.stamp, 0);
+                self.anchors.push(s);
+            }
+            entry.1 += 1;
+        }
+        self.remaining = self.dests.len();
+        self.dp.start(n, self.anchors.len());
+    }
+
+    /// Uncovered destinations at `s`.
+    #[inline]
+    fn uncovered_at(&self, s: SwitchId) -> u32 {
+        count_at(&self.uncovered, self.stamp, s)
     }
 
     /// Pick the best single worm from `from` over the uncovered
@@ -156,55 +189,67 @@ impl<'a> Cover<'a> {
     /// whose best route maximizes the variant's score over uncovered
     /// destinations at the visited switches; ties go to the shorter
     /// route, then to the lower anchor switch id.
-    fn best_worm(&mut self, from: SwitchId) -> PathWormSpec {
-        let weight: fn(u32) -> i64 = match self.variant {
+    fn best_worm(&mut self, net: &Network, variant: PathVariant, from: SwitchId) -> PathWormSpec {
+        let weight: fn(u32) -> i64 = match variant {
             PathVariant::Greedy => |c| c as i64,
             // Less greedy: each visited switch costs half a destination,
             // preferring shorter and denser routes.
             PathVariant::LessGreedy => |c| 2 * c as i64 - 1,
         };
+        let (uncovered, stamp) = (&self.uncovered, self.stamp);
+        let weight_at = |s: SwitchId| weight(count_at(uncovered, stamp, s));
         let mut best: Option<(i64, u16)> = None;
-        let mut best_path = Vec::new();
-        for &target in &self.anchors {
-            if self.uncovered[target.idx()] == 0 {
+        for a in 0..self.anchors.len() {
+            let target = self.anchors[a];
+            if count_at(uncovered, stamp, target) == 0 {
                 continue; // anchor must host an uncovered destination
             }
-            let score = self.dp.best_score(self.net, from, target, &self.uncovered, weight);
-            let dist = self.net.routing.distance(from, Phase::Up, target);
+            let score = self.dp.best_score(net, from, a, target, &weight_at);
+            let dist = net.routing.distance(from, Phase::Up, target);
             let better = match best {
                 None => true,
                 Some((bs, bd)) => score > bs || (score == bs && dist < bd),
             };
             if better {
                 best = Some((score, dist));
-                self.dp.route(from, target, &mut best_path);
+                self.dp.route(from, target, &mut self.best_path);
             }
         }
         assert!(best.is_some(), "some uncovered destination must exist");
-        self.take_worm(&best_path)
+        self.take_worm()
     }
 
-    /// The worm spec for a concrete switch path: drops at the first visit
-    /// of each switch holding uncovered destinations, which become
-    /// covered. Stops visited during the route's up* prefix are marked
-    /// `up_phase` so the simulator reaches them via up links only (see
+    /// The worm spec for the best route: drops at the first visit of each
+    /// switch holding uncovered destinations, which become covered. Stops
+    /// visited during the route's up* prefix are marked `up_phase` so the
+    /// simulator reaches them via up links only (see
     /// [`irrnet_sim::PathStop::up_phase`]).
-    fn take_worm(&mut self, path: &[(SwitchId, Phase)]) -> PathWormSpec {
-        let mut stops = Vec::new();
-        for &(s, phase) in path {
-            if self.uncovered[s.idx()] == 0 {
+    fn take_worm(&mut self) -> PathWormSpec {
+        let n_stops = self.best_path.iter().filter(|&&(s, _)| self.uncovered_at(s) > 0).count();
+        let mut stops = Vec::with_capacity(n_stops);
+        for &(s, phase) in &self.best_path {
+            let count = self.uncovered_at(s) as usize;
+            if count == 0 {
                 continue;
             }
             let first = self.dests.partition_point(|&(sw, _)| sw < s);
-            let here = &self.dests[first..first + self.uncovered[s.idx()] as usize];
-            let drops: Vec<NodeId> = here.iter().map(|&(_, d)| d).collect();
-            self.remaining -= drops.len();
-            self.uncovered[s.idx()] = 0;
+            let drops: Vec<NodeId> =
+                self.dests[first..first + count].iter().map(|&(_, d)| d).collect();
+            self.remaining -= count;
+            self.uncovered[s.idx()].1 = 0;
             stops.push(PathStop { switch: s, drops, up_phase: phase == Phase::Up });
         }
         assert!(!stops.is_empty(), "anchor switch hosts an uncovered destination");
         PathWormSpec { stops }
     }
+}
+
+/// The count of a `(multicast stamp, count)` entry, 0 if stamped with
+/// another multicast.
+#[inline]
+fn count_at(uncovered: &[(u32, u32)], stamp: u32, s: SwitchId) -> u32 {
+    let (at, count) = uncovered[s.idx()];
+    if at == stamp { count } else { 0 }
 }
 
 fn phase_idx(p: Phase) -> usize {
@@ -214,82 +259,171 @@ fn phase_idx(p: Phase) -> usize {
     }
 }
 
+fn phase_of(i: usize) -> Phase {
+    if i == 0 { Phase::Up } else { Phase::Down }
+}
+
+/// No entry.
+const NONE: u32 = u32::MAX;
+
 /// Over all minimal legal routes `from → target`, maximize the summed
 /// switch weight. The minimal-route relation is a DAG (distance strictly
-/// decreases per hop), so a memoized walk over the routing tables'
-/// next-hop candidates suffices. The memo is indexed by (switch, phase)
-/// and reset entry by entry after each target, so one allocation serves
-/// every anchor of a multicast.
+/// decreases per hop), so a memoized walk over the next-hop candidates
+/// suffices.
+///
+/// The next hops of each (switch, phase) toward each target are derived
+/// once per multicast and kept in one flat list; every later walk toward
+/// that target reuses them. The walk's memo is one slot per switch,
+/// stamped with the walk it belongs to, so starting a walk clears nothing.
+#[derive(Default)]
 struct RouteDp {
-    /// Best score from (switch, phase) to the current target
-    /// (`i64::MIN` = not computed).
-    score: Vec<[i64; 2]>,
-    /// The chosen next hop per (switch, phase): (switch, phase index).
-    next: Vec<[Option<(u16, u8)>; 2]>,
-    /// Switches with a memo entry for the current target.
-    touched: Vec<SwitchId>,
+    /// Per switch: the memo of the current walk.
+    slots: Vec<Slot>,
+    /// The current walk; a slot stamped with another walk is empty.
+    walk: u32,
+    /// Next-hop lists, flat: `(next switch, phase index)` one hop closer
+    /// to a target.
+    hops: Vec<(SwitchId, u8)>,
+    /// Every derived next-hop list of this multicast.
+    lists: Vec<HopList>,
+    /// Per target (anchor index): its most recently derived list, or
+    /// [`NONE`]; the rest are chained through [`HopList::prev`].
+    last_list: Vec<u32>,
+}
+
+/// The next hops of one (switch, phase) toward one target.
+#[derive(Clone, Copy)]
+struct HopList {
+    switch: SwitchId,
+    phase: u8,
+    /// `hops[start..start + len]`.
+    start: u32,
+    len: u32,
+    /// The target's previously derived list, or [`NONE`].
+    prev: u32,
+}
+
+/// One switch's memo in one walk, per phase.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    walk: u32,
+    /// The switch's next-hop list toward the walk's target, or [`NONE`]
+    /// if not derived yet.
+    list: [u32; 2],
+    /// Best score to the target (`i64::MIN` = not computed).
+    score: [i64; 2],
+    /// Index into `hops` of the chosen next hop.
+    next: [u32; 2],
 }
 
 impl RouteDp {
-    fn new(num_switches: usize) -> Self {
-        RouteDp {
-            score: vec![[i64::MIN; 2]; num_switches],
-            next: vec![[None; 2]; num_switches],
-            touched: Vec::new(),
+    /// Reset for a multicast over `n` switches with `targets` anchors.
+    fn start(&mut self, n: usize, targets: usize) {
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
         }
+        self.hops.clear();
+        self.lists.clear();
+        self.last_list.clear();
+        self.last_list.resize(targets, NONE);
     }
 
-    /// The best score of a minimal route `from → target`; the route
-    /// itself stays readable through [`RouteDp::route`] until the next
-    /// call.
+    /// `s`'s slot in the current walk, emptied first if it belongs to an
+    /// earlier one.
+    #[inline]
+    fn slot(&mut self, s: SwitchId) -> &mut Slot {
+        let walk = self.walk;
+        let slot = &mut self.slots[s.idx()];
+        if slot.walk != walk {
+            *slot = Slot { walk, list: [NONE; 2], score: [i64::MIN; 2], next: [NONE; 2] };
+        }
+        slot
+    }
+
+    /// The best score of a minimal route `from → target` (anchor index
+    /// `a`); the route itself stays readable through [`RouteDp::route`]
+    /// until the next call.
     fn best_score(
         &mut self,
         net: &Network,
         from: SwitchId,
+        a: usize,
         target: SwitchId,
-        uncovered: &[u32],
-        weight: fn(u32) -> i64,
+        weight: &dyn Fn(SwitchId) -> i64,
     ) -> i64 {
-        for s in self.touched.drain(..) {
-            self.score[s.idx()] = [i64::MIN; 2];
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            // A wrapped stamp could match a stale slot; start over.
+            self.slots.fill(Slot::default());
+            self.walk = 1;
         }
-        self.walk(net, target, uncovered, weight, from, Phase::Up)
+        // Point the slots at the lists already derived toward `target`.
+        let mut l = self.last_list[a];
+        while l != NONE {
+            let list = self.lists[l as usize];
+            self.slot(list.switch).list[list.phase as usize] = l;
+            l = list.prev;
+        }
+        self.walk_from(net, a, target, weight, from, 0)
     }
 
-    fn walk(
+    fn walk_from(
         &mut self,
         net: &Network,
+        a: usize,
         target: SwitchId,
-        uncovered: &[u32],
-        weight: fn(u32) -> i64,
+        weight: &dyn Fn(SwitchId) -> i64,
         s: SwitchId,
-        p: Phase,
+        p: usize,
     ) -> i64 {
-        let (si, pi) = (s.idx(), phase_idx(p));
-        if self.score[si][pi] != i64::MIN {
-            return self.score[si][pi];
+        let slot = self.slot(s);
+        if slot.score[p] != i64::MIN {
+            return slot.score[p];
         }
-        if self.score[si] == [i64::MIN; 2] {
-            self.touched.push(s);
-        }
-        let w = weight(uncovered[si]);
+        let w = weight(s);
         if s == target {
-            self.score[si][pi] = w;
+            slot.score[p] = w;
             return w;
         }
+        let mut l = slot.list[p];
+        if l == NONE {
+            l = self.derive(net, a, target, s, p);
+        }
+        let HopList { start, len, .. } = self.lists[l as usize];
         let mut best = i64::MIN;
-        let mut choice = None;
-        for h in net.routing.next_hops(s, p, target).iter() {
-            let sub = self.walk(net, target, uncovered, weight, h.next, h.next_phase);
+        let mut choice = NONE;
+        for i in start..start + len {
+            let (next, np) = self.hops[i as usize];
+            let sub = self.walk_from(net, a, target, weight, next, np as usize);
             if sub > best {
                 best = sub;
-                choice = Some((h.next.0, phase_idx(h.next_phase) as u8));
+                choice = i;
             }
         }
-        debug_assert!(choice.is_some(), "no route {s} -> {target}");
-        self.score[si][pi] = w + best;
-        self.next[si][pi] = choice;
-        self.score[si][pi]
+        debug_assert!(choice != NONE, "no route {s} -> {target}");
+        let slot = self.slot(s);
+        slot.score[p] = w + best;
+        slot.next[p] = choice;
+        w + best
+    }
+
+    /// Derive the next hops of `(s, p)` toward `target` (anchor index
+    /// `a`) into a new list.
+    fn derive(&mut self, net: &Network, a: usize, target: SwitchId, s: SwitchId, p: usize) -> u32 {
+        let start = self.hops.len() as u32;
+        let hops = net.routing.next_hops_iter(s, phase_of(p), target);
+        self.hops.extend(hops.map(|h| (h.next, phase_idx(h.next_phase) as u8)));
+        let l = self.lists.len() as u32;
+        self.lists.push(HopList {
+            switch: s,
+            phase: p as u8,
+            start,
+            len: self.hops.len() as u32 - start,
+            prev: self.last_list[a],
+        });
+        self.last_list[a] = l;
+        self.slot(s).list[p] = l;
+        l
     }
 
     /// The route behind the last [`RouteDp::best_score`], with the routing
@@ -299,10 +433,12 @@ impl RouteDp {
         path.push((from, Phase::Up));
         let (mut s, mut p) = (from, 0usize);
         while s != target {
-            let (ns, np) = self.next[s.idx()][p].expect("the route follows the memo");
-            s = SwitchId(ns);
+            let next = self.slots[s.idx()].next[p];
+            debug_assert!(self.slots[s.idx()].walk == self.walk && next != NONE);
+            let (ns, np) = self.hops[next as usize];
+            s = ns;
             p = np as usize;
-            path.push((s, if p == 0 { Phase::Up } else { Phase::Down }));
+            path.push((s, phase_of(p)));
         }
     }
 }

@@ -96,6 +96,7 @@ impl<'n> LatencyModel<'n> {
             &self.net.topo,
             &self.net.updown,
             &self.net.reach,
+            src_sw,
             dests.clone(),
         );
         let up = plan.up_distance(src_sw) as u64;

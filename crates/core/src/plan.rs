@@ -5,17 +5,19 @@
 //! multicast under one scheme: the sends the source issues at launch, the
 //! software forwarding table (who sends what after *receiving* the
 //! message — the multi-phase schemes), and the smart-NI forwarding tables
-//! (who replicates what at the *NI*). Which tables a plan may populate is
-//! governed by its scheme's [`SchemeCaps`](crate::SchemeCaps).
+//! (who replicates what at the *NI*). Each table is a [`NodeTable`]: the
+//! forwarders in ascending order with their lists in one flat array.
+//! Which tables a plan may populate is governed by its scheme's
+//! [`SchemeCaps`](crate::SchemeCaps).
 //!
 //! The planning logic of each scheme family lives in a module under
 //! [`crate::schemes`]; [`try_plan_multicast`] dispatches through the
 //! scheme table there.
 
 use crate::schemes::{PlanCtx, PlanError, SchemeId};
+use crate::table::NodeTable;
 use irrnet_sim::{SendSpec, SimConfig};
 use irrnet_topology::{Network, NodeId, NodeMask};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Structural facts about a plan, for the architectural-cost table and
@@ -47,21 +49,22 @@ pub struct McastPlan {
     pub initial: Vec<SendSpec>,
     /// Software forwarding: sends a node issues after the message is
     /// delivered to its host.
-    pub on_delivered: HashMap<NodeId, Vec<SendSpec>>,
+    pub on_delivered: NodeTable<SendSpec>,
     /// Smart-NI forwarding: children a node's NI replicates each packet
     /// to (FPFS). Populated only by schemes with the `ni_forwarding`
     /// capability.
-    pub fpfs_children: HashMap<NodeId, Vec<NodeId>>,
+    pub fpfs_children: NodeTable<NodeId>,
     /// Smart-NI path forwarding (the NI+switch hybrid): path worms a
     /// node's NI injects packet-by-packet as the message arrives.
     /// Populated only by schemes with the `ni_forwarding` capability.
-    pub ni_path_forwards: HashMap<NodeId, Vec<Arc<irrnet_sim::PathWormSpec>>>,
+    pub ni_path_forwards: NodeTable<Arc<irrnet_sim::PathWormSpec>>,
     /// Structural metadata.
     pub meta: PlanMeta,
 }
 
-/// Build the plan for one multicast under `scheme`, reporting an empty
-/// destination set or a source among the destinations as a typed error.
+/// Build the plan for one multicast under `scheme`. An empty destination
+/// set, a source or destination that is not a node of `net`, a source
+/// among the destinations and an empty message are typed errors.
 pub fn try_plan_multicast(
     net: &Network,
     cfg: &SimConfig,
@@ -70,11 +73,21 @@ pub fn try_plan_multicast(
     dests: NodeMask,
     message_flits: u32,
 ) -> Result<McastPlan, PlanError> {
+    let nodes = net.num_nodes();
     if dests.is_empty() {
         return Err(PlanError::EmptyDestinations);
     }
+    if source.idx() >= nodes {
+        return Err(PlanError::UnknownSource { source, nodes });
+    }
+    if let Some(dest) = dests.last().filter(|d| d.idx() >= nodes) {
+        return Err(PlanError::UnknownDestination { dest, nodes });
+    }
     if dests.contains(source) {
         return Err(PlanError::SourceInDestinations);
+    }
+    if message_flits == 0 {
+        return Err(PlanError::EmptyMessage);
     }
     let plan = scheme.plan(&PlanCtx { net, cfg, id: scheme, source, dests, message_flits });
     debug_assert!(
@@ -113,7 +126,7 @@ mod tests {
         assert_eq!(p.scheme.caps(), crate::SchemeCaps::default());
         // Every destination appears exactly once among all sends.
         let mut targets = Vec::new();
-        for s in p.initial.iter().chain(p.on_delivered.values().flatten()) {
+        for s in p.initial.iter().chain(p.on_delivered.items()) {
             match s {
                 SendSpec::Unicast { dest } => targets.push(*dest),
                 _ => panic!("ubinomial must use unicast sends"),
@@ -137,9 +150,7 @@ mod tests {
         while let Some(n) = frontier.pop() {
             assert!(!covered.contains(n), "duplicate coverage of {n}");
             covered.insert(n);
-            if let Some(kids) = p.fpfs_children.get(&n) {
-                frontier.extend(kids.iter().copied());
-            }
+            frontier.extend(p.fpfs_children.get(n).iter().copied());
         }
         assert_eq!(covered, dests8());
         assert!(p.on_delivered.is_empty());
@@ -161,7 +172,7 @@ mod tests {
         for scheme in [SchemeId::PATH_G, SchemeId::PATH_LG] {
             let p = plan8(scheme);
             let mut covered = NodeMask::EMPTY;
-            for s in p.initial.iter().chain(p.on_delivered.values().flatten()) {
+            for s in p.initial.iter().chain(p.on_delivered.items()) {
                 let SendSpec::Path { spec } = s else { panic!("path send") };
                 covered = covered.union(spec.covered());
             }
@@ -175,10 +186,28 @@ mod tests {
     fn try_plan_reports_typed_precondition_errors() {
         let net = net();
         let cfg = SimConfig::paper_default();
-        let err = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), NodeMask::EMPTY, 128);
-        assert_eq!(err.unwrap_err(), PlanError::EmptyDestinations);
-        let dests = NodeMask::single(NodeId(0));
-        let err = try_plan_multicast(&net, &cfg, SchemeId::TREE, NodeId(0), dests, 128);
-        assert_eq!(err.unwrap_err(), PlanError::SourceInDestinations);
+        let nodes = net.num_nodes();
+        assert_eq!(nodes, 32);
+        for scheme in crate::SchemeRegistry::all() {
+            let plan = |source, dests, flits| {
+                try_plan_multicast(&net, &cfg, scheme, source, dests, flits).unwrap_err()
+            };
+            assert_eq!(plan(NodeId(0), NodeMask::EMPTY, 128), PlanError::EmptyDestinations);
+            let dests = NodeMask::single(NodeId(0));
+            assert_eq!(plan(NodeId(0), dests, 128), PlanError::SourceInDestinations);
+            let dests = NodeMask::from_nodes([NodeId(3), NodeId(32)]);
+            assert_eq!(
+                plan(NodeId(0), dests, 128),
+                PlanError::UnknownDestination { dest: NodeId(32), nodes },
+                "{scheme}"
+            );
+            assert_eq!(
+                plan(NodeId(37), dests8(), 128),
+                PlanError::UnknownSource { source: NodeId(37), nodes },
+                "{scheme}"
+            );
+            assert_eq!(plan(NodeId(0), dests8(), 0), PlanError::EmptyMessage, "{scheme}");
+            assert!(try_plan_multicast(&net, &cfg, scheme, NodeId(0), dests8(), 1).is_ok());
+        }
     }
 }

@@ -119,11 +119,12 @@ pub(crate) struct PlanCtx<'a> {
     pub cfg: &'a SimConfig,
     /// The scheme being planned, which the plan is stamped with.
     pub id: SchemeId,
-    /// Multicast source.
+    /// Multicast source, checked to be a node of the network.
     pub source: NodeId,
-    /// Destination set, checked non-empty and source-free.
+    /// Destination set, checked non-empty, source-free and within the
+    /// network.
     pub dests: NodeMask,
-    /// Message length in flits.
+    /// Message length in flits, checked non-zero.
     pub message_flits: u32,
 }
 
@@ -132,15 +133,38 @@ pub(crate) struct PlanCtx<'a> {
 pub enum PlanError {
     /// The destination set is empty.
     EmptyDestinations,
+    /// The source is not a node of the network.
+    UnknownSource {
+        /// The source asked for.
+        source: NodeId,
+        /// Nodes in the network.
+        nodes: usize,
+    },
+    /// A destination is not a node of the network.
+    UnknownDestination {
+        /// The highest destination asked for.
+        dest: NodeId,
+        /// Nodes in the network.
+        nodes: usize,
+    },
     /// The source appears in the destination set.
     SourceInDestinations,
+    /// The message has no flits.
+    EmptyMessage,
 }
 
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::EmptyDestinations => write!(f, "empty destination set"),
+            PlanError::UnknownSource { source, nodes } => {
+                write!(f, "source {source} is not one of the network's {nodes} nodes")
+            }
+            PlanError::UnknownDestination { dest, nodes } => {
+                write!(f, "destination {dest} is not one of the network's {nodes} nodes")
+            }
             PlanError::SourceInDestinations => write!(f, "source among destinations"),
+            PlanError::EmptyMessage => write!(f, "empty message"),
         }
     }
 }

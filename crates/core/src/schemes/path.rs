@@ -7,10 +7,8 @@
 use super::PlanCtx;
 use crate::mdp::{plan_paths, PathVariant};
 use crate::plan::{McastPlan, PlanMeta};
+use crate::table::NodeTable;
 use irrnet_sim::SendSpec;
-use irrnet_topology::NodeId;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// MDP-G: greedy covering, host-level phases (ablation baseline).
 pub(super) fn plan_greedy(ctx: &PlanCtx<'_>) -> McastPlan {
@@ -29,22 +27,17 @@ fn plan_path_worms(ctx: &PlanCtx<'_>, variant: PathVariant) -> McastPlan {
     let pp = plan_paths(ctx.net, ctx.source, ctx.dests.clone(), variant);
     let worms = pp.worms.len();
     let phases = pp.phases;
-    let mut initial = Vec::new();
-    let mut on_delivered: HashMap<NodeId, Vec<SendSpec>> = HashMap::new();
-    let mut ni_path_forwards: HashMap<NodeId, Vec<Arc<irrnet_sim::PathWormSpec>>> =
-        HashMap::new();
-    for (sender, specs) in pp.assignments {
-        if sender == ctx.source {
-            initial = specs.into_iter().map(|spec| SendSpec::Path { spec }).collect();
-        } else if ni_forwarding {
-            // Hybrid: the leader's NI injects the next-phase worms
-            // packet-by-packet, FPFS style.
-            ni_path_forwards.insert(sender, specs);
-        } else {
-            on_delivered
-                .insert(sender, specs.into_iter().map(|spec| SendSpec::Path { spec }).collect());
-        }
-    }
+    let path = |spec| SendSpec::Path { spec };
+    // Every list but the source's is a leader's next-phase worms.
+    let mut forwards = pp.assignments;
+    let initial = forwards.remove(ctx.source).into_iter().map(path).collect();
+    let (on_delivered, ni_path_forwards) = if ni_forwarding {
+        // Hybrid: the leader's NI injects the next-phase worms
+        // packet-by-packet, FPFS style.
+        (NodeTable::new(), forwards)
+    } else {
+        (forwards.map(path), NodeTable::new())
+    };
     McastPlan {
         scheme: ctx.id,
         source: ctx.source,
@@ -52,7 +45,7 @@ fn plan_path_worms(ctx: &PlanCtx<'_>, variant: PathVariant) -> McastPlan {
         message_flits: ctx.message_flits,
         initial,
         on_delivered,
-        fpfs_children: HashMap::new(),
+        fpfs_children: NodeTable::new(),
         ni_path_forwards,
         meta: PlanMeta { worms, phases, k: 0 },
     }

@@ -7,9 +7,9 @@ use super::PlanCtx;
 use crate::kbinomial::{build_k_binomial, choose_k, McastTree};
 use crate::order::sort_by_rank;
 use crate::plan::{McastPlan, PlanMeta};
+use crate::table::NodeTable;
 use irrnet_sim::SendSpec;
 use irrnet_topology::{Network, NodeId};
-use std::collections::HashMap;
 
 /// Multi-phase software multicast over unicast: binomial tree,
 /// ⌈log₂(d+1)⌉ phases, full host+NI overhead per hop (§3.1).
@@ -43,9 +43,9 @@ fn plan_software_tree(ctx: &PlanCtx<'_>, ordered: &[NodeId], k: usize, fpfs: boo
     let phases = tree.rounds;
     let worms = ordered.len(); // one message per tree edge
 
-    // Every entry but the source's is an interior node's forwarding list.
+    // Every list but the source's is an interior node's forwarding list.
     let mut forwards = tree.children;
-    let root_kids = forwards.remove(&ctx.source).unwrap_or_default();
+    let root_kids = forwards.remove(ctx.source);
 
     if fpfs {
         // NI-based FPFS: the source sends once (its NI fans out); every
@@ -56,24 +56,23 @@ fn plan_software_tree(ctx: &PlanCtx<'_>, ordered: &[NodeId], k: usize, fpfs: boo
             dests: ctx.dests.clone(),
             message_flits: ctx.message_flits,
             initial: vec![SendSpec::FpfsChildren { children: root_kids }],
-            on_delivered: HashMap::new(),
+            on_delivered: NodeTable::new(),
             fpfs_children: forwards,
-            ni_path_forwards: HashMap::new(),
+            ni_path_forwards: NodeTable::new(),
             meta: PlanMeta { worms, phases, k },
         }
     } else {
         // Software binomial: every edge is a separate host-level send.
-        let unicasts =
-            |kids: Vec<NodeId>| kids.into_iter().map(|dest| SendSpec::Unicast { dest }).collect();
+        let unicast = |dest| SendSpec::Unicast { dest };
         McastPlan {
             scheme: ctx.id,
             source: ctx.source,
             dests: ctx.dests.clone(),
             message_flits: ctx.message_flits,
-            initial: unicasts(root_kids),
-            on_delivered: forwards.into_iter().map(|(n, kids)| (n, unicasts(kids))).collect(),
-            fpfs_children: HashMap::new(),
-            ni_path_forwards: HashMap::new(),
+            initial: root_kids.into_iter().map(unicast).collect(),
+            on_delivered: forwards.map(unicast),
+            fpfs_children: NodeTable::new(),
+            ni_path_forwards: NodeTable::new(),
             meta: PlanMeta { worms, phases, k: 0 },
         }
     }

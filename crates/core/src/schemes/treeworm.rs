@@ -5,9 +5,9 @@
 use super::PlanCtx;
 use crate::order::sort_by_rank;
 use crate::plan::{McastPlan, PlanMeta};
+use crate::table::NodeTable;
 use irrnet_sim::SendSpec;
 use irrnet_topology::{ApexPlan, NodeId, NodeMask};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Source fan-out cap of `tree-cap4`.
@@ -41,10 +41,11 @@ pub(super) fn plan_tree_cap4(ctx: &PlanCtx<'_>) -> McastPlan {
     tree_plan(ctx, initial, MAX_WORMS)
 }
 
-/// One apex-tree worm to `dests`.
+/// One apex-tree worm from the source to `dests`.
 fn tree_worm(ctx: &PlanCtx<'_>, dests: NodeMask) -> SendSpec {
     let net = ctx.net;
-    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+    let from = net.topo.host_switch(ctx.source);
+    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests.clone()));
     SendSpec::Tree { dests, plan }
 }
 
@@ -57,8 +58,8 @@ fn tree_plan(ctx: &PlanCtx<'_>, initial: Vec<SendSpec>, k: usize) -> McastPlan {
         message_flits: ctx.message_flits,
         meta: PlanMeta { worms: initial.len(), phases: 1, k },
         initial,
-        on_delivered: HashMap::new(),
-        fpfs_children: HashMap::new(),
-        ni_path_forwards: HashMap::new(),
+        on_delivered: NodeTable::new(),
+        fpfs_children: NodeTable::new(),
+        ni_path_forwards: NodeTable::new(),
     }
 }

@@ -8,12 +8,11 @@ use crate::registry::{Emit, RunCtx, Unit};
 use irrnet_core::kbinomial::McastTree;
 use irrnet_core::order::sort_by_rank;
 use irrnet_core::{
-    build_k_binomial, build_k_binomial_scattered, tree_link_loads, McastPlan, PlanMeta, SchemeId,
-    SchemeProtocol,
+    build_k_binomial, build_k_binomial_scattered, tree_link_loads, McastPlan, NodeTable, PlanMeta,
+    SchemeId, SchemeProtocol,
 };
 use irrnet_sim::{McastId, SendSpec, SimConfig, Simulator};
 use irrnet_topology::{Network, NodeId, NodeMask, RandomTopologyConfig};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -29,23 +28,17 @@ fn run_fpfs_tree(
         .copied()
         .filter(|&n| n != tree.source)
         .collect();
-    let mut fpfs_children = HashMap::new();
-    for (&n, kids) in &tree.children {
-        if n != tree.source && !kids.is_empty() {
-            fpfs_children.insert(n, kids.clone());
-        }
-    }
+    let mut fpfs_children = tree.children.clone();
+    let root_kids = fpfs_children.remove(tree.source);
     let plan = McastPlan {
         scheme: SchemeId::NI_FPFS,
         source: tree.source,
         dests: dests.clone(),
         message_flits: msg,
-        initial: vec![SendSpec::FpfsChildren {
-            children: tree.children_of(tree.source).to_vec(),
-        }],
-        on_delivered: HashMap::new(),
+        initial: vec![SendSpec::FpfsChildren { children: root_kids }],
+        on_delivered: NodeTable::new(),
         fpfs_children,
-        ni_path_forwards: HashMap::new(),
+        ni_path_forwards: NodeTable::new(),
         meta: PlanMeta { worms: dests.len(), phases: tree.rounds, k: tree.k },
     };
     let mut proto = SchemeProtocol::new();

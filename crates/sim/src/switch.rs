@@ -667,7 +667,9 @@ mod tests {
         let cfg = SimConfig::paper_default();
         // Root of the chain's up*/down* orientation is S0: it covers all.
         let dests = NodeMask::from_nodes([NodeId(0), NodeId(2)]);
-        let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+        let from = SwitchId(0);
+        let plan =
+            Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests.clone()));
         let w = mk_worm(RouteInfo::Tree { dests: dests.clone(), plan }, cfg.tree_header_flits(3));
         let b = decode_branches(&net, &cfg, SwitchId(0), &w);
         // Two branches: host n0 locally, and down toward S1 (for n2).
@@ -690,7 +692,9 @@ mod tests {
         let cfg = SimConfig::paper_default();
         // From S2, destination n0 requires climbing toward S0.
         let dests = NodeMask::single(NodeId(0));
-        let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+        let from = SwitchId(2);
+        let plan =
+            Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests.clone()));
         let w = mk_worm(RouteInfo::Tree { dests: dests.clone(), plan }, cfg.tree_header_flits(3));
         let b = decode_branches(&net, &cfg, SwitchId(2), &w);
         assert_eq!(b.len(), 1);
@@ -780,7 +784,9 @@ mod tests {
         let net = chain_net();
         let cfg = SimConfig::paper_default();
         let dests = NodeMask::from_nodes([NodeId(0), NodeId(1)]);
-        let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+        let from = SwitchId(0);
+        let plan =
+            Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests.clone()));
         let w = mk_worm(RouteInfo::Tree { dests: dests.clone(), plan }, cfg.tree_header_flits(3));
         let mut f = Frame::new(w.clone());
         f.received = w.total_flits();

@@ -76,7 +76,8 @@ fn unicast_latency_scales_with_hops_by_pipeline_depth() {
 fn tree_worm_reaches_all_destinations_once() {
     let net = Network::analyze(zoo::chain(3).unwrap()).unwrap();
     let dests = NodeMask::from_nodes([NodeId(1), NodeId(2)]);
-    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+    let from = net.topo.host_switch(NodeId(0));
+    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests.clone()));
     let mut proto = StaticProtocol::new();
     proto.set_launch(McastId(0), vec![(NodeId(0), SendSpec::Tree { dests: dests.clone(), plan })]);
     let mut sim = Simulator::new(&net, tiny_cfg(), proto).unwrap();
@@ -97,7 +98,8 @@ fn tree_worm_climbs_to_apex_before_descending() {
     // require the worm to climb to S0.
     let net = Network::analyze(zoo::chain(3).unwrap()).unwrap();
     let dests = NodeMask::from_nodes([NodeId(0), NodeId(1)]);
-    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+    let from = net.topo.host_switch(NodeId(2));
+    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests.clone()));
     let mut proto = StaticProtocol::new();
     proto.set_launch(McastId(0), vec![(NodeId(2), SendSpec::Tree { dests: dests.clone(), plan })]);
     let mut sim = Simulator::new(&net, tiny_cfg(), proto).unwrap();
@@ -209,7 +211,9 @@ fn paper_default_config_runs_broadcast() {
         m.remove(NodeId(0));
         m
     };
-    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, all_but_source.clone()));
+    let from = net.topo.host_switch(NodeId(0));
+    let dests = all_but_source.clone();
+    let plan = Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, from, dests));
     let mut proto = StaticProtocol::new();
     proto.set_launch(
         McastId(0),

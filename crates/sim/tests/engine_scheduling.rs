@@ -44,8 +44,14 @@ fn mixed_sim_cfg(
                     dests.insert(NodeId(d));
                 }
             }
-            let plan =
-                Arc::new(ApexPlan::compute(&net.topo, &net.updown, &net.reach, dests.clone()));
+            let from = net.topo.host_switch(src);
+            let plan = Arc::new(ApexPlan::compute(
+                &net.topo,
+                &net.updown,
+                &net.reach,
+                from,
+                dests.clone(),
+            ));
             proto.set_launch(id, vec![(src, SendSpec::Tree { dests: dests.clone(), plan })]);
             schedule.push((at, id, dests, 96u32));
         } else {

@@ -27,6 +27,9 @@ pub enum TopologyError {
     /// More nodes than the `u16` [`NodeId`] space supports
     /// ([`crate::Topology::MAX_NODES`]).
     TooManyNodes(usize),
+    /// More switches than the `u16` [`SwitchId`] space supports
+    /// ([`crate::Topology::MAX_SWITCHES`]).
+    TooManySwitches(usize),
     /// A host id is attached to a nonexistent switch.
     DanglingHost { node: NodeId, switch: SwitchId },
     /// The requested configuration cannot fit: not enough ports for the
@@ -69,6 +72,9 @@ impl fmt::Display for TopologyError {
             TopologyError::Empty => write!(f, "topology must have at least one switch and one host"),
             TopologyError::TooManyNodes(n) => {
                 write!(f, "{n} nodes exceed the u16 NodeId ceiling of 65536")
+            }
+            TopologyError::TooManySwitches(n) => {
+                write!(f, "{n} switches exceed the u16 SwitchId ceiling of 65536")
             }
             TopologyError::DanglingHost { node, switch } => {
                 write!(f, "host {node} attached to nonexistent {switch}")

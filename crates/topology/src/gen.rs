@@ -121,6 +121,9 @@ pub fn generate(cfg: &RandomTopologyConfig) -> Result<Topology, TopologyError> {
     if cfg.num_switches == 0 || cfg.num_hosts == 0 {
         return Err(TopologyError::Empty);
     }
+    if cfg.num_switches > Topology::MAX_SWITCHES {
+        return Err(TopologyError::TooManySwitches(cfg.num_switches));
+    }
     if let ExtraLinks::Fraction(f) = cfg.extra_links {
         if !(f.is_finite() && f >= 0.0) {
             return Err(TopologyError::BadExtraLinks(format!("{f}")));
@@ -291,6 +294,21 @@ mod tests {
             generate(&cfg),
             Err(TopologyError::InsufficientPorts { .. })
         ));
+    }
+
+    #[test]
+    fn switch_counts_past_the_switch_id_space_are_an_error() {
+        let cfg = |num_switches| RandomTopologyConfig {
+            num_switches,
+            ports_per_switch: 4,
+            num_hosts: 10,
+            extra_links: ExtraLinks::Count(0),
+            seed: 0,
+        };
+        let n = Topology::MAX_SWITCHES + 1;
+        assert_eq!(generate(&cfg(n)).unwrap_err(), TopologyError::TooManySwitches(n));
+        let msg = TopologyError::TooManySwitches(n).to_string();
+        assert!(msg.contains("65537") && msg.contains("65536"), "{msg}");
     }
 
     #[test]

@@ -107,6 +107,9 @@ impl Topology {
     /// never wrap.
     pub const MAX_NODES: usize = u16::MAX as usize + 1;
 
+    /// Largest supported switch count: the full `u16` [`SwitchId`] space.
+    pub const MAX_SWITCHES: usize = u16::MAX as usize + 1;
+
     /// Construct from raw parts. Prefer [`crate::TopologyBuilder`] or
     /// [`crate::gen::generate`]; this is public for hand-written fixtures.
     pub fn from_parts(

@@ -296,6 +296,16 @@ impl NodeMask {
         }
     }
 
+    /// The highest-numbered node in the set, if any.
+    pub fn last(&self) -> Option<NodeId> {
+        let (i, w) = match &self.0 {
+            Repr::Small(0) => return None,
+            Repr::Small(b) => return Some(NodeId(127 - b.leading_zeros() as u16)),
+            Repr::Big(w) => w.iter().enumerate().rfind(|(_, x)| **x != 0)?,
+        };
+        Some(NodeId((i * 64) as u16 + 63 - w.leading_zeros() as u16))
+    }
+
     /// Number of 64-bit words the set spans (trailing zeros trimmed;
     /// inline sets report 2). Exposed for the interval/bitset codecs in
     /// `reach` and for property tests.
@@ -489,6 +499,16 @@ mod tests {
             assert!(m.contains(NodeId((n - 1) as u16)));
             assert!(!m.contains(NodeId(n as u16)));
             assert!(m.heap_bytes() > 0);
+        }
+    }
+
+    #[test]
+    fn first_and_last_members() {
+        assert_eq!(NodeMask::EMPTY.last(), None);
+        for nodes in [&[5u16][..], &[0, 127], &[3, 64, 128], &[1, 300, 9000, 65535]] {
+            let m = NodeMask::from_nodes(nodes.iter().map(|&i| NodeId(i)));
+            assert_eq!(m.first(), Some(NodeId(nodes[0])));
+            assert_eq!(m.last(), Some(NodeId(*nodes.last().unwrap())));
         }
     }
 

@@ -80,16 +80,15 @@ impl NextHops {
     fn collect(moves: &[Move], mut pick: impl FnMut(&Move) -> Option<Phase>) -> Self {
         const FILLER: PortCandidate =
             PortCandidate { port: PortIdx(0), link: LinkId(0), next: SwitchId(0), next_phase: Phase::Up };
-        let cand = |m: &Move, next_phase| PortCandidate { port: m.port, link: m.link, next: m.next, next_phase };
         let mut inline = [FILLER; INLINE_HOPS];
         if moves.len() > INLINE_HOPS {
-            let heap = moves.iter().filter_map(|m| pick(m).map(|p| cand(m, p))).collect();
+            let heap = moves.iter().filter_map(|m| pick(m).map(|p| m.candidate(p))).collect();
             return NextHops { len: 0, inline, heap };
         }
         let mut len = 0;
         for m in moves {
             if let Some(p) = pick(m) {
-                inline[len] = cand(m, p);
+                inline[len] = m.candidate(p);
                 len += 1;
             }
         }
@@ -144,6 +143,13 @@ struct Move {
     next: SwitchId,
     /// The traversal goes up, so it is legal only in `Phase::Up`.
     is_up: bool,
+}
+
+impl Move {
+    #[inline]
+    fn candidate(&self, next_phase: Phase) -> PortCandidate {
+        PortCandidate { port: self.port, link: self.link, next: self.next, next_phase }
+    }
 }
 
 /// Minimal up*/down* distances and next-hop candidates, computed per
@@ -322,11 +328,38 @@ impl RoutingTables {
     /// All minimal legal next hops from `s` (in `phase`) toward `t`, in
     /// port order. Empty iff `s == t` or `t` is unreachable in this phase.
     pub fn next_hops(&self, s: SwitchId, phase: Phase, t: SwitchId) -> NextHops {
+        let (moves, pick) = self.minimal_moves(s, phase, t);
+        NextHops::collect(moves, pick)
+    }
+
+    /// The hops of [`Self::next_hops`], in the same order, one at a time:
+    /// for a caller that keeps them elsewhere and has no use for the
+    /// inline [`NextHops`] array.
+    pub fn next_hops_iter(
+        &self,
+        s: SwitchId,
+        phase: Phase,
+        t: SwitchId,
+    ) -> impl Iterator<Item = PortCandidate> + '_ {
+        let (moves, pick) = self.minimal_moves(s, phase, t);
+        moves.iter().filter_map(move |m| pick(m).map(|next_phase| m.candidate(next_phase)))
+    }
+
+    /// The moves out of `s` that may lie on a minimal legal route toward
+    /// `t`, and the filter that admits those that do, with the phase
+    /// after each.
+    #[inline]
+    fn minimal_moves(
+        &self,
+        s: SwitchId,
+        phase: Phase,
+        t: SwitchId,
+    ) -> (&[Move], impl Fn(&Move) -> Option<Phase> + '_) {
         let n = self.num_switches;
         let col = self.column(t);
         let d = col[phase.idx() * n + s.idx()];
         let moves = if d == 0 || d == UNREACHABLE { &[][..] } else { self.moves_of(s.idx()) };
-        NextHops::collect(moves, |m| {
+        let pick = move |m: &Move| {
             // From Down only down traversals are legal.
             let next_phase = match (m.is_up, phase) {
                 (true, Phase::Down) => return None,
@@ -334,7 +367,8 @@ impl RoutingTables {
                 (false, _) => Phase::Down,
             };
             (col[next_phase.idx() * n + m.next.idx()] == d - 1).then_some(next_phase)
-        })
+        };
+        (moves, pick)
     }
 
     /// One BFS per destination into a single scratch column, keeping
@@ -545,8 +579,27 @@ mod tests {
             assert_eq!(hops.clone().into_iter().collect::<Vec<_>>(), hops.to_vec());
         }
         assert_eq!(rt.next_hops(s0, Phase::Down, s1).len(), 40);
+        assert!(rt.next_hops_iter(s1, Phase::Up, s0).eq(rt.next_hops(s1, Phase::Up, s0)));
         let narrow = rt.next_hops(s0, Phase::Up, s0);
         assert!(narrow.is_empty() && narrow.into_iter().next().is_none());
+    }
+
+    #[test]
+    fn next_hops_iter_lists_what_next_hops_does() {
+        let net = crate::Network::analyze(
+            crate::gen::generate(&crate::RandomTopologyConfig::with_switches(3, 32)).unwrap(),
+        )
+        .unwrap();
+        let rt = &net.routing;
+        for s in 0..32u16 {
+            for t in 0..32u16 {
+                for ph in [Phase::Up, Phase::Down] {
+                    let (s, t) = (SwitchId(s), SwitchId(t));
+                    let iter: Vec<PortCandidate> = rt.next_hops_iter(s, ph, t).collect();
+                    assert_eq!(iter, rt.next_hops(s, ph, t).to_vec(), "{s} {ph:?} {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -132,9 +132,10 @@ fn up_distance_decreases_along_up_ports() {
         let net = Network::analyze(gen::generate(&cfg).unwrap()).unwrap();
         let n_nodes = net.topo.num_nodes();
         // Use the full destination set: apex guidance must be finite
-        // everywhere (the root covers everything).
-        let plan = ApexPlan::compute(&net.topo, &net.updown, &net.reach, NodeMask::all(n_nodes));
+        // from every source switch (the root covers everything).
         for (s, _) in net.topo.switches() {
+            let all = NodeMask::all(n_nodes);
+            let plan = ApexPlan::compute(&net.topo, &net.updown, &net.reach, s, all);
             let d = plan.up_distance(s);
             assert!(d != u16::MAX, "{cfg:?}");
             if d > 0 {

@@ -31,6 +31,14 @@ fn topologies_without_enough_ports_are_an_error() {
 }
 
 #[test]
+fn switch_counts_past_the_switch_id_space_are_an_error() {
+    assert_clean_failure(
+        &["topo", "--switches", "65537", "--ports", "4", "--nodes", "10"],
+        "ceiling of 65536",
+    );
+}
+
+#[test]
 fn degrees_without_room_for_a_source_are_an_error() {
     // The default network has 32 hosts.
     assert_clean_failure(&["single", "--scheme", "tree", "--degree", "32"], "degree 32");
